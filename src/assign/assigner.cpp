@@ -1,7 +1,7 @@
 #include "assign/assigner.h"
 
 #include <algorithm>
-#include <iterator>
+#include <atomic>
 #include <optional>
 
 #include <bit>
@@ -95,6 +95,7 @@ bool run_duplication(PassContext& ctx,
                                              ctx.stream->duplicatable, rng,
                                              ws);
       ctx.stats->duplication_rounds += out.rounds;
+      PARMEM_COUNTER_ADD("assign.dup.combos_scanned", out.combos_scanned);
       return out.budget_exhausted;
     }
   }
@@ -106,10 +107,18 @@ bool run_duplication(PassContext& ctx,
 /// graph — and clique-separator decomposition never splits a clique, so each
 /// instruction lives entirely inside some atom; instructions contained in
 /// several atoms (wholly inside a separator) go to the earliest one in
-/// processing order. Each task copies the placement state, draws from its
-/// own seeded RNG, and can only *add* copies — added copies never invalidate
-/// an SDR, so resolutions from different atoms compose — which makes the
-/// stable-order merge of the per-atom deltas schedule-independent.
+/// processing order. Each task works on a private view of the placement
+/// state, draws from its own seeded RNG, and can only *add* copies — added
+/// copies never invalidate an SDR, so resolutions from different atoms
+/// compose — which makes the stable-order merge of the per-atom deltas
+/// schedule-independent.
+///
+/// The private view is one PlacementState per worker thread, copied from the
+/// pass's state once per call. The duplication methods read and write only
+/// operands of the instructions they are given, so a task's delta is read
+/// off its atom's operands, and rolling exactly those back restores the
+/// view for the worker's next task — O(atom) per task instead of a copy and
+/// a diff of every value.
 bool duplicate_atom_parallel(
     PassContext& ctx, const std::vector<std::vector<ir::ValueId>>& insts,
     const ConflictGraph& cg,
@@ -117,28 +126,56 @@ bool duplicate_atom_parallel(
   const ir::AccessStream& stream = *ctx.stream;
   const AssignOptions& opts = *ctx.opts;
 
-  std::vector<std::vector<std::uint32_t>> member(cg.vertex_count());
-  for (std::uint32_t a = 0; a < atoms.size(); ++a) {
-    for (const graph::Vertex v : atoms[a]) member[v].push_back(a);
+  // Atom memberships per vertex, ascending, flattened (CSR).
+  const std::size_t n = cg.vertex_count();
+  std::vector<std::uint32_t> member_off(n + 1, 0);
+  for (const auto& atom : atoms) {
+    for (const graph::Vertex v : atom) ++member_off[v + 1];
   }
-
-  std::vector<std::vector<std::vector<ir::ValueId>>> per_atom(atoms.size());
-  std::vector<std::vector<ir::ValueId>> residual;
-  for (const auto& ops : insts) {
-    std::vector<std::uint32_t> cand =
-        member[static_cast<std::size_t>(cg.vertex_of(ops[0]))];
-    for (std::size_t i = 1; i < ops.size() && !cand.empty(); ++i) {
-      const auto& other =
-          member[static_cast<std::size_t>(cg.vertex_of(ops[i]))];
-      std::vector<std::uint32_t> kept;
-      std::set_intersection(cand.begin(), cand.end(), other.begin(),
-                            other.end(), std::back_inserter(kept));
-      cand = std::move(kept);
+  for (std::size_t v = 0; v < n; ++v) member_off[v + 1] += member_off[v];
+  std::vector<std::uint32_t> member(member_off[n]);
+  {
+    std::vector<std::uint32_t> fill(member_off.begin(), member_off.end() - 1);
+    for (std::uint32_t a = 0; a < atoms.size(); ++a) {
+      for (const graph::Vertex v : atoms[a]) member[fill[v]++] = a;
     }
-    if (cand.empty()) {
-      residual.push_back(ops);  // defensive: theory says this cannot happen
-    } else {
-      per_atom[cand.front()].push_back(ops);
+  }
+  const auto vertex = [&](ir::ValueId v) {
+    return static_cast<std::size_t>(cg.vertex_of(v));
+  };
+  const auto in_atom = [&](std::size_t vx, std::uint32_t a) {
+    return std::binary_search(member.begin() + member_off[vx],
+                              member.begin() + member_off[vx + 1], a);
+  };
+
+  // Each instruction's home: the lowest-numbered atom holding every
+  // operand. Per atom, its instructions' indices, ascending (CSR).
+  constexpr std::uint32_t kNoAtom = ~std::uint32_t{0};
+  std::vector<std::uint32_t> home(insts.size(), kNoAtom);
+  std::vector<std::uint32_t> atom_off(atoms.size() + 1, 0);
+  std::vector<std::vector<ir::ValueId>> residual;
+  for (std::size_t i = 0; i < insts.size(); ++i) {
+    const auto& ops = insts[i];
+    const std::size_t v0 = vertex(ops[0]);
+    for (std::uint32_t j = member_off[v0];
+         j < member_off[v0 + 1] && home[i] == kNoAtom; ++j) {
+      const std::uint32_t a = member[j];
+      if (std::all_of(ops.begin() + 1, ops.end(), [&](ir::ValueId v) {
+            return in_atom(vertex(v), a);
+          })) {
+        home[i] = a;
+        ++atom_off[a + 1];
+      }
+    }
+    // Defensive: theory says every instruction has a home.
+    if (home[i] == kNoAtom) residual.push_back(ops);
+  }
+  for (std::size_t a = 0; a < atoms.size(); ++a) atom_off[a + 1] += atom_off[a];
+  std::vector<std::uint32_t> atom_insts(atom_off.back());
+  {
+    std::vector<std::uint32_t> fill(atom_off.begin(), atom_off.end() - 1);
+    for (std::uint32_t i = 0; i < insts.size(); ++i) {
+      if (home[i] != kNoAtom) atom_insts[fill[home[i]]++] = i;
     }
   }
 
@@ -152,48 +189,89 @@ bool duplicate_atom_parallel(
   // Same engagement rule as the coloring memo: never under a budget.
   MemoSession* const memo =
       (ctx.memo != nullptr && opts.budget == nullptr) ? ctx.memo : nullptr;
+  // Tags the worker views synced to this call's ctx.st.
+  static std::atomic<std::uint64_t> calls{0};
+  const std::uint64_t call = calls.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::atomic<std::uint64_t> bytes_copied{0};
+  std::atomic<std::uint64_t> combos_scanned{0};
   opts.pool->parallel_for(atoms.size(), [&](std::size_t i) {
-    if (per_atom[i].empty()) return;
+    if (atom_off[i] == atom_off[i + 1]) return;
     PARMEM_SPAN("assign.dup_atom");
+    struct WorkerView {
+      std::uint64_t call = 0;  // 0: unsynced, or left dirty by a throw
+      std::optional<PlacementState> st;
+      std::vector<std::vector<ir::ValueId>> insts;  // this atom's
+    };
+    thread_local WorkerView view;
+    // The atom's instructions, copied into reused buffers.
+    auto& mine = view.insts;
+    mine.resize(atom_off[i + 1] - atom_off[i]);
+    for (std::size_t j = 0; j < mine.size(); ++j) {
+      const auto& ops = insts[atom_insts[atom_off[i] + j]];
+      mine[j].assign(ops.begin(), ops.end());
+    }
     Delta& d = deltas[i];
     std::uint64_t key = 0, check = 0;
     if (memo != nullptr) {
-      dup_closure_key(per_atom[i], *ctx.st, *ctx.removed, stream.duplicatable,
+      dup_closure_key(mine, *ctx.st, *ctx.removed, stream.duplicatable,
                       base_seed + i, opts.module_count, opts.method, &key,
                       &check);
       if (memo_dup_lookup(*memo, key, check, &d)) return;
     }
     thread_local AssignWorkspace tls;  // per-worker scratch
     tls.budget = opts.budget;  // Budget is thread-safe; tasks share it
-    PlacementState local = *ctx.st;
+    std::uint64_t copied = 0;
+    if (view.call != call) {
+      view.st = *ctx.st;
+      copied += stream.value_count * sizeof(ModuleSet);
+    }
+    view.call = 0;
+    PlacementState& local = *view.st;
     support::SplitMix64 rng(base_seed + i);
     std::size_t rounds = 0;
     bool exhausted = false;
     switch (opts.method) {
       case DupMethod::kBacktracking: {
-        const auto out = backtrack_duplicate(local, per_atom[i], *ctx.removed,
+        const auto out = backtrack_duplicate(local, mine, *ctx.removed,
                                              stream.duplicatable, rng, &tls);
         exhausted = out.budget_exhausted;
         break;
       }
       case DupMethod::kHittingSet: {
-        const auto out = hitting_set_duplicate(local, per_atom[i],
+        const auto out = hitting_set_duplicate(local, mine,
                                                *ctx.removed,
                                                stream.duplicatable, rng,
                                                &tls);
         rounds = out.rounds;
         exhausted = out.budget_exhausted;
+        combos_scanned.fetch_add(out.combos_scanned,
+                                 std::memory_order_relaxed);
         break;
       }
     }
     d.rounds = rounds;
     d.budget_exhausted = exhausted;
-    for (ir::ValueId v = 0; v < stream.value_count; ++v) {
-      const ModuleSet extra = local.placement(v) & ~ctx.st->placement(v);
-      if (extra != 0) d.added.emplace_back(v, extra);
+    // Read the delta off the atom's operands and roll each changed value
+    // back as it is read (a repeated operand then reads as unchanged).
+    for (const auto& ops : mine) {
+      for (const ir::ValueId v : ops) {
+        const ModuleSet base = ctx.st->placement(v);
+        const ModuleSet extra = local.placement(v) & ~base;
+        if (extra == 0) continue;
+        d.added.emplace_back(v, extra);
+        local.set_placement(v, base);
+        copied += sizeof(ModuleSet);
+      }
     }
+    std::sort(d.added.begin(), d.added.end());
+    view.call = call;
+    bytes_copied.fetch_add(copied, std::memory_order_relaxed);
     if (memo != nullptr) memo_dup_store(*memo, key, check, d);
   });
+  PARMEM_COUNTER_ADD("assign.dup.state_bytes_copied", bytes_copied.load());
+  if (opts.method == DupMethod::kHittingSet) {
+    PARMEM_COUNTER_ADD("assign.dup.combos_scanned", combos_scanned.load());
+  }
 
   bool exhausted = false;
   for (const Delta& d : deltas) {

@@ -1,6 +1,7 @@
 #include "assign/hitting_set_approach.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "assign/backtrack.h"
 #include "assign/hitting_set.h"
@@ -12,21 +13,22 @@
 namespace parmem::assign {
 namespace {
 
-/// All distinct size-`num` operand combinations occurring in instructions
-/// wide enough to contain them, in lexicographic order (sort + unique over
-/// the generated stream — the same sequence a std::set would iterate, minus
-/// the per-insert node allocation and tree rebalancing).
+/// All distinct size-`num` operand combinations occurring in the listed
+/// instructions wide enough to contain them, in lexicographic order (sort +
+/// unique over the generated stream — the same sequence a std::set would
+/// iterate, minus the per-insert node allocation and tree rebalancing).
 std::vector<std::vector<ir::ValueId>> combinations_of_size(
-    const std::vector<std::vector<ir::ValueId>>& insts, std::size_t num) {
+    const std::vector<std::vector<ir::ValueId>>& insts,
+    const std::vector<std::uint32_t>& listed, std::size_t num) {
   std::vector<std::vector<ir::ValueId>> combos;
   std::vector<ir::ValueId> current;
-  for (const auto& ops : insts) {
+  std::vector<std::size_t> idx(num);
+  for (const std::uint32_t inst : listed) {
+    const auto& ops = insts[inst];
     if (ops.size() < num) continue;
     // Operands are sorted, so generated combinations are canonical.
-    current.clear();
     const std::size_t n = ops.size();
     // Iterative combination enumeration via index vector.
-    std::vector<std::size_t> idx(num);
     for (std::size_t i = 0; i < num; ++i) idx[i] = i;
     for (;;) {
       current.clear();
@@ -85,6 +87,16 @@ HittingSetOutcome hitting_set_duplicate(
   out.copies_added +=
       place_copies(st, insts, need_second, in_unassigned, rng, &w);
 
+  // Instructions that may still conflict, ascending; each size drops the
+  // resolved ones first. Copies are only ever added, so an SDR, once found,
+  // survives every later step: a conflict-free instruction stays
+  // conflict-free, and so does every operand combination inside it. Every
+  // combination that conflicts therefore lies inside an instruction on this
+  // list, and enumerating combinations from the list alone yields the same
+  // conflicting combinations, in the same lexicographic order, as
+  // enumerating them from every instruction.
+  std::vector<std::uint32_t> live(insts.size());
+  std::iota(live.begin(), live.end(), 0u);
   std::size_t max_width = 0;
   for (const auto& ops : insts) max_width = std::max(max_width, ops.size());
 
@@ -95,7 +107,11 @@ HittingSetOutcome hitting_set_duplicate(
       out.budget_exhausted = true;
       break;
     }
-    const auto combos = combinations_of_size(insts, num);
+    std::erase_if(live, [&](const std::uint32_t i) {
+      return st.combination_conflict_free(insts[i]);
+    });
+    if (live.empty()) break;
+    const auto combos = combinations_of_size(insts, live, num);
     for (;;) {
       // Each round scans every combination once; meter that work before
       // spending it so a deadline interrupts between rounds.
@@ -103,6 +119,7 @@ HittingSetOutcome hitting_set_duplicate(
         out.budget_exhausted = true;
         break;
       }
+      out.combos_scanned += combos.size();
       // Candidate sets: for each conflicting combination, the multi-copy
       // duplicable operands whose replication can resolve it.
       std::vector<std::vector<std::uint32_t>> cand_sets;
@@ -131,7 +148,8 @@ HittingSetOutcome hitting_set_duplicate(
   // per-instruction backtracking treatment over its duplicable operands.
   // When the budget tripped, the unbounded enumeration is skipped and the
   // conflicting instructions are reported for the caller's capped fix-up.
-  for (std::size_t i = 0; i < insts.size(); ++i) {
+  // Instructions off the live list are conflict-free for good.
+  for (const std::uint32_t i : live) {
     if (st.combination_conflict_free(insts[i])) continue;
     if (out.budget_exhausted) {
       out.unresolved.push_back(i);

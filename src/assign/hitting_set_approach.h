@@ -33,6 +33,10 @@ struct HittingSetOutcome {
   std::vector<std::size_t> unresolved;
   /// Number of duplication/placement rounds executed (for diagnostics).
   std::size_t rounds = 0;
+  /// Operand combinations checked for conflicts, summed over the rounds
+  /// (the work the rounds are charged for; 0 when nothing conflicts after
+  /// the pair step).
+  std::uint64_t combos_scanned = 0;
   /// True iff the budget (ws->budget) tripped: the iterative rounds and/or
   /// the final fix-up were skipped. The pair step (two copies per
   /// V_unassigned value) always completes, so pair conflicts are resolved

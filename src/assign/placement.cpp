@@ -11,6 +11,9 @@ std::size_t place_copies(PlacementState& st,
                          const std::vector<ir::ValueId>& to_place,
                          const std::vector<bool>& in_unassigned,
                          support::SplitMix64& rng, AssignWorkspace* ws) {
+  // Nothing to place draws nothing from `rng` and adds nothing; skip the
+  // conflict scan over every instruction.
+  if (to_place.empty()) return 0;
   const std::size_t k = st.module_count();
 
   AssignWorkspace local_ws;

@@ -29,6 +29,10 @@ class PlacementState {
   /// Adds a copy of `v` in module `m`; returns true if it was new.
   bool add_copy(ir::ValueId v, std::uint32_t m);
 
+  /// Overwrites the copy set of `v` — rolls a scratch state back to a
+  /// saved placement after speculative add_copy calls.
+  void set_placement(ir::ValueId v, ModuleSet s) { placement_[v] = s; }
+
   std::size_t copies(ir::ValueId v) const { return copy_count(placement_[v]); }
 
   /// True iff every operand of the tuple has at least one copy and the

@@ -1,6 +1,7 @@
 #include "graph/atoms.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "graph/mcsm.h"
 #include "support/diagnostics.h"
@@ -37,12 +38,36 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
   std::vector<bool> alive(n, true);
   std::size_t alive_count = n;
 
-  // Scratch reused across candidate splits (each split used to allocate
-  // its own O(n) masks — O(atoms × V) churn on atom-rich graphs).
+  // Epoch marks shared by every candidate split: v is in the current
+  // separator iff sep_mark[v] == epoch, and reached by the current
+  // component search iff comp_mark[v] == epoch. Bumping the epoch clears
+  // both in O(1), so a split costs O(its component + separator), not the
+  // O(n) of copying `alive` into a mask and clearing a visited array.
   std::vector<Vertex> sep;
-  std::vector<bool> mask;
-  std::vector<bool> in_comp(n, false);
-  std::vector<bool> in_sep(n, false);
+  std::vector<std::uint32_t> sep_mark(n, 0);
+  std::vector<std::uint32_t> comp_mark(n, 0);
+  std::uint32_t epoch = 0;
+  std::vector<Vertex> stack;
+  // Component of `start` among the alive vertices outside the current
+  // separator, sorted ascending.
+  const auto component = [&](Vertex start) {
+    std::vector<Vertex> comp;
+    comp_mark[start] = epoch;
+    stack.assign(1, start);
+    while (!stack.empty()) {
+      const Vertex v = stack.back();
+      stack.pop_back();
+      comp.push_back(v);
+      for (const Vertex w : g.neighbors(v)) {
+        if (alive[w] && sep_mark[w] != epoch && comp_mark[w] != epoch) {
+          comp_mark[w] = epoch;
+          stack.push_back(w);
+        }
+      }
+    }
+    std::sort(comp.begin(), comp.end());
+    return comp;
+  };
 
   for (std::size_t i = 0; i < n; ++i) {
     const Vertex x = tri.order[i];
@@ -57,9 +82,9 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
     if (!g.is_clique(sep)) continue;        // not a clique separator of G
 
     // Component of x with S removed.
-    mask = alive;
-    for (const Vertex s : sep) mask[s] = false;
-    std::vector<Vertex> comp = g.component_of(x, mask);
+    ++epoch;
+    for (const Vertex s : sep) sep_mark[s] = epoch;
+    std::vector<Vertex> comp = component(x);
 
     // S must actually separate: the component plus S must not be everything
     // still alive (otherwise this split would swallow the whole remainder).
@@ -69,23 +94,19 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
     // separator vertex needs a neighbor on both sides. Splitting on a
     // non-minimal clique separator would emit non-maximal atoms (e.g. a
     // sub-clique of a maximal clique in a chordal graph).
-    for (const Vertex c : comp) in_comp[c] = true;
-    for (const Vertex s : sep) in_sep[s] = true;
     bool minimal = true;
     for (const Vertex s : sep) {
       bool to_comp = false, to_rest = false;
       for (const Vertex w : g.neighbors(s)) {
         if (!alive[w]) continue;
-        if (in_comp[w]) to_comp = true;
-        else if (!in_sep[w]) to_rest = true;
+        if (comp_mark[w] == epoch) to_comp = true;
+        else if (sep_mark[w] != epoch) to_rest = true;
       }
       if (!to_comp || !to_rest) {
         minimal = false;
         break;
       }
     }
-    for (const Vertex c : comp) in_comp[c] = false;
-    for (const Vertex s : sep) in_sep[s] = false;
     if (!minimal) continue;
 
     Atom atom;
@@ -102,13 +123,13 @@ std::vector<Atom> decompose_by_clique_separators(const Graph& g) {
   }
 
   // Whatever remains forms the final atoms — one per connected component of
-  // the remainder, each with an empty separator.
-  std::vector<bool> emitted(n, false);
+  // the remainder, each with an empty separator. One fresh epoch (no
+  // separator marked) covers them all: comp_mark then flags emitted ones.
+  ++epoch;
   for (Vertex v = 0; v < n; ++v) {
-    if (!alive[v] || emitted[v]) continue;
+    if (!alive[v] || comp_mark[v] == epoch) continue;
     Atom last;
-    last.vertices = g.component_of(v, alive);
-    for (const Vertex u : last.vertices) emitted[u] = true;
+    last.vertices = component(v);
     atoms.push_back(std::move(last));
   }
   PARMEM_CHECK(!atoms.empty(), "decomposition must produce at least one atom");

@@ -1,9 +1,9 @@
 #include "graph/mcsm.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "support/diagnostics.h"
+#include "telemetry/telemetry.h"
 
 namespace parmem::graph {
 namespace {
@@ -167,21 +167,35 @@ Triangulation mcs_m(const Graph& g) {
   std::vector<std::int64_t> weight(n, 0);
 
   McsmScratch scratch(g);
-  // Compact list of unnumbered vertices, order-insensitive (selection takes
-  // the max weight with lowest id on ties, a pure reduction).
-  std::vector<Vertex> unnumbered(n);
-  for (Vertex v = 0; v < n; ++v) unnumbered[v] = v;
-  std::vector<std::uint32_t> pos(n);
-  for (Vertex v = 0; v < n; ++v) pos[v] = v;
+  // Selection queue: a lazy max-heap of (weight, ~id) keys, so the top is
+  // the maximum weight with the lowest id on ties. Weights only ever rise,
+  // by one, so each raise pushes a fresh key and the old one goes stale; a
+  // popped key is live iff its vertex is unnumbered and its weight current.
+  // Every unnumbered vertex always has its live key queued, so the first
+  // live top is exactly the vertex a full scan would pick — in
+  // O(log n) per push instead of O(n) per step.
+  const auto select_key = [&](Vertex v) {
+    return (static_cast<std::uint64_t>(weight[v]) << 32) |
+           (0xFFFFFFFFu - v);
+  };
+  std::vector<std::uint64_t> queue(n);
+  for (Vertex v = 0; v < n; ++v) queue[v] = select_key(v);
+  std::make_heap(queue.begin(), queue.end());
+  std::vector<bool> numbered(n, false);
 
   for (std::size_t step = n; step > 0; --step) {
     // Pick the unnumbered vertex with maximum weight (lowest id on ties,
     // for determinism).
-    PARMEM_CHECK(!unnumbered.empty(), "no unnumbered vertex left");
-    Vertex x = unnumbered[0];
-    for (const Vertex v : unnumbered) {
-      if (weight[v] > weight[x] || (weight[v] == weight[x] && v < x)) x = v;
+    Vertex x = 0;
+    for (;;) {
+      PARMEM_CHECK(!queue.empty(), "no unnumbered vertex left");
+      std::pop_heap(queue.begin(), queue.end());
+      const std::uint64_t top = queue.back();
+      queue.pop_back();
+      x = 0xFFFFFFFFu - static_cast<Vertex>(top & 0xFFFFFFFFu);
+      if (!numbered[x] && top == select_key(x)) break;
     }
+    numbered[x] = true;
 
     // Number x up front: save its live row for seeding, then delete it
     // from the live adjacency so the scan never sees it as an intermediate.
@@ -191,20 +205,20 @@ Triangulation mcs_m(const Graph& g) {
         reachable_through_lower_weights(scratch, weight, weight[x]);
     for (const Vertex y : reached) {
       weight[y] += 1;
+      queue.push_back(select_key(y));
+      std::push_heap(queue.begin(), queue.end());
       if (!g.has_edge(x, y)) {
         result.fill.emplace_back(std::min(x, y), std::max(x, y));
       }
     }
     result.order[step - 1] = x;  // numbered `step`; eliminated at index step-1
-    const std::uint32_t px = pos[x];
-    unnumbered[px] = unnumbered.back();
-    pos[unnumbered[px]] = px;
-    unnumbered.pop_back();
   }
 
   std::sort(result.fill.begin(), result.fill.end());
   result.fill.erase(std::unique(result.fill.begin(), result.fill.end()),
                     result.fill.end());
+  PARMEM_COUNTER_ADD("graph.mcsm.steps", n);
+  PARMEM_COUNTER_ADD("graph.mcsm.fill_edges", result.fill.size());
   return result;
 }
 

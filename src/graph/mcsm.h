@@ -26,9 +26,11 @@ struct Triangulation {
   std::vector<std::pair<Vertex, Vertex>> fill;
 };
 
-/// Runs MCS-M. O(n * m log n) with the minimax-path search implemented as a
-/// Dijkstra variant; conflict graphs in this library are small enough that
-/// this is never the bottleneck.
+/// Runs MCS-M. O(n * m) for the per-step minimax-path searches (a bucketed
+/// Dijkstra variant, each confined to the chosen vertex's component) plus
+/// O((n + r) log n) for picking each step's vertex from a lazy max-heap,
+/// where r is the total number of weight raises. Counts `graph.mcsm.steps`
+/// (vertices numbered) and `graph.mcsm.fill_edges` per call.
 Triangulation mcs_m(const Graph& g);
 
 /// True iff `order` is a perfect elimination ordering of `g` (i.e. g is

@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <set>
+#include <string>
+#include <utility>
+
+#include "graph/atoms.h"
 
 namespace parmem::graph {
 namespace {
@@ -93,6 +100,239 @@ TEST(McsM, EmptyAndSingletonGraphs) {
   const Triangulation t1 = mcs_m(Graph(1));
   EXPECT_EQ(t1.order.size(), 1u);
   EXPECT_TRUE(t1.fill.empty());
+}
+
+// ---- Reference differential -------------------------------------------
+//
+// A deliberately plain MCS-M: each step picks its vertex by a linear scan
+// over every unnumbered vertex (maximum weight, lowest id on ties — the
+// O(n^2) selection the library used to run), and finds the vertices to
+// raise with an unpruned heap-based minimax Dijkstra. The library's
+// selection queue, scan cutoff and bucket queue are all required to
+// reproduce it exactly: same order, same fill, hence the same atoms.
+
+Triangulation reference_mcs_m(const Graph& g) {
+  const std::size_t n = g.vertex_count();
+  Triangulation result;
+  result.order.assign(n, 0);
+  std::vector<std::int64_t> weight(n, 0);
+  std::vector<bool> numbered(n, false);
+  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
+  for (std::size_t step = n; step > 0; --step) {
+    Vertex x = 0;
+    bool have = false;
+    for (Vertex v = 0; v < n; ++v) {
+      if (numbered[v]) continue;
+      if (!have || weight[v] > weight[x]) x = v;
+      have = true;
+    }
+    // g(y): the least possible maximum weight of the intermediate vertices
+    // on an x-y path through unnumbered vertices (-1 for a direct edge).
+    std::vector<std::int64_t> best(n, kInf);
+    using Item = std::pair<std::int64_t, Vertex>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
+    for (const Vertex y : g.neighbors(x)) {
+      if (numbered[y]) continue;
+      best[y] = -1;
+      queue.emplace(-1, y);
+    }
+    while (!queue.empty()) {
+      const auto [d, v] = queue.top();
+      queue.pop();
+      if (d != best[v]) continue;
+      const std::int64_t via = std::max(d, weight[v]);
+      for (const Vertex w : g.neighbors(v)) {
+        if (numbered[w] || w == x || via >= best[w]) continue;
+        best[w] = via;
+        queue.emplace(via, w);
+      }
+    }
+    numbered[x] = true;
+    for (Vertex y = 0; y < n; ++y) {
+      if (numbered[y] || best[y] >= weight[y]) continue;
+      weight[y] += 1;
+      if (!g.has_edge(x, y)) result.fill.emplace_back(std::min(x, y),
+                                                      std::max(x, y));
+    }
+    result.order[step - 1] = x;
+  }
+  std::sort(result.fill.begin(), result.fill.end());
+  result.fill.erase(std::unique(result.fill.begin(), result.fill.end()),
+                    result.fill.end());
+  return result;
+}
+
+/// The clique-separator scan with a fresh O(n) mask per candidate split
+/// (the library's former shape), over the reference triangulation.
+std::vector<Atom> reference_atoms(const Graph& g) {
+  const std::size_t n = g.vertex_count();
+  std::vector<Atom> atoms;
+  if (n == 0) return atoms;
+  const Triangulation tri = reference_mcs_m(g);
+  std::vector<std::set<Vertex>> h(n);
+  for (Vertex v = 0; v < n; ++v) {
+    h[v].insert(g.neighbors(v).begin(), g.neighbors(v).end());
+  }
+  for (const auto& [u, v] : tri.fill) {
+    h[u].insert(v);
+    h[v].insert(u);
+  }
+  std::vector<std::size_t> pos(n);
+  for (std::size_t i = 0; i < n; ++i) pos[tri.order[i]] = i;
+  std::vector<bool> alive(n, true);
+  std::size_t alive_count = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vertex x = tri.order[i];
+    if (!alive[x]) continue;
+    std::vector<Vertex> sep;
+    for (const Vertex w : h[x]) {
+      if (pos[w] > i && alive[w]) sep.push_back(w);
+    }
+    if (sep.empty() || !g.is_clique(sep)) continue;
+    std::vector<bool> mask = alive;
+    for (const Vertex s : sep) mask[s] = false;
+    const std::vector<Vertex> comp = g.component_of(x, mask);
+    if (comp.size() + sep.size() >= alive_count) continue;
+    const std::set<Vertex> in_comp(comp.begin(), comp.end());
+    const std::set<Vertex> in_sep(sep.begin(), sep.end());
+    bool minimal = true;
+    for (const Vertex s : sep) {
+      bool to_comp = false, to_rest = false;
+      for (const Vertex w : g.neighbors(s)) {
+        if (!alive[w]) continue;
+        if (in_comp.count(w)) to_comp = true;
+        else if (!in_sep.count(w)) to_rest = true;
+      }
+      minimal = minimal && to_comp && to_rest;
+    }
+    if (!minimal) continue;
+    Atom atom;
+    atom.vertices = comp;
+    atom.vertices.insert(atom.vertices.end(), sep.begin(), sep.end());
+    std::sort(atom.vertices.begin(), atom.vertices.end());
+    atom.separator = sep;
+    atoms.push_back(std::move(atom));
+    for (const Vertex c : comp) {
+      alive[c] = false;
+      --alive_count;
+    }
+  }
+  std::vector<bool> emitted(n, false);
+  for (Vertex v = 0; v < n; ++v) {
+    if (!alive[v] || emitted[v]) continue;
+    Atom last;
+    last.vertices = g.component_of(v, alive);
+    for (const Vertex u : last.vertices) emitted[u] = true;
+    atoms.push_back(std::move(last));
+  }
+  return atoms;
+}
+
+void expect_matches_reference(const Graph& g, const std::string& label) {
+  const Triangulation got = mcs_m(g);
+  const Triangulation want = reference_mcs_m(g);
+  EXPECT_EQ(got.order, want.order) << label;
+  EXPECT_EQ(got.fill, want.fill) << label;
+  const std::vector<Atom> atoms = decompose_by_clique_separators(g);
+  const std::vector<Atom> ref = reference_atoms(g);
+  ASSERT_EQ(atoms.size(), ref.size()) << label;
+  for (std::size_t a = 0; a < atoms.size(); ++a) {
+    EXPECT_EQ(atoms[a].vertices, ref[a].vertices) << label << " atom " << a;
+    EXPECT_EQ(atoms[a].separator, ref[a].separator) << label << " atom " << a;
+  }
+}
+
+/// `count` random components of 2..max_size vertices each, their vertex
+/// ids shuffled together so components interleave in id order (the shape
+/// of COLOR's conflict graph: hundreds of small components).
+Graph many_components(std::size_t count, std::size_t max_size, double p,
+                      support::SplitMix64& rng) {
+  std::vector<std::size_t> sizes;
+  std::size_t n = 0;
+  for (std::size_t c = 0; c < count; ++c) {
+    sizes.push_back(2 + rng.below(max_size - 1));
+    n += sizes.back();
+  }
+  std::vector<Vertex> ids(n);
+  for (Vertex v = 0; v < n; ++v) ids[v] = v;
+  for (std::size_t i = n; i > 1; --i) std::swap(ids[i - 1], ids[rng.below(i)]);
+  Graph g(n);
+  std::size_t base = 0;
+  for (const std::size_t size : sizes) {
+    // A spanning path keeps the component connected; random chords on top.
+    for (std::size_t i = 1; i < size; ++i) {
+      g.add_edge(ids[base + i - 1], ids[base + i]);
+    }
+    for (std::size_t i = 0; i < size; ++i) {
+      for (std::size_t j = i + 2; j < size; ++j) {
+        if (rng.uniform() < p) g.add_edge(ids[base + i], ids[base + j]);
+      }
+    }
+    base += size;
+  }
+  g.finalize();
+  return g;
+}
+
+TEST(McsMReference, ManySmallComponentsMatch) {
+  support::SplitMix64 rng(0xc0102);
+  for (int iter = 0; iter < 6; ++iter) {
+    const Graph g = many_components(60 + rng.below(120), 14,
+                                    0.1 + 0.4 * rng.uniform(), rng);
+    expect_matches_reference(g, "components iteration " +
+                                    std::to_string(iter));
+  }
+}
+
+TEST(McsMReference, TieHeavyGraphsMatch) {
+  // Every selection is a tie between equal weights at least once: no
+  // edges at all, cliques, chordless cycles, complete bipartite graphs and
+  // disjoint copies of one shape — the lowest-id rule decides every step.
+  expect_matches_reference(Graph(40), "edgeless");
+  expect_matches_reference(Graph::complete(12), "K12");
+  expect_matches_reference(Graph::cycle(31), "C31");
+  Graph bip(16);
+  for (Vertex u = 0; u < 8; ++u) {
+    for (Vertex v = 8; v < 16; ++v) bip.add_edge(u, v);
+  }
+  expect_matches_reference(bip, "K8,8");
+  Graph copies(60);
+  for (Vertex c = 0; c < 60; c += 6) {
+    for (Vertex i = 0; i < 6; ++i) copies.add_edge(c + i, c + (i + 1) % 6);
+    copies.add_edge(c, c + 3);
+  }
+  expect_matches_reference(copies, "ten chorded hexagons");
+  Graph grid(49);
+  for (Vertex r = 0; r < 7; ++r) {
+    for (Vertex c = 0; c < 7; ++c) {
+      if (c + 1 < 7) grid.add_edge(r * 7 + c, r * 7 + c + 1);
+      if (r + 1 < 7) grid.add_edge(r * 7 + c, (r + 1) * 7 + c);
+    }
+  }
+  expect_matches_reference(grid, "7x7 grid");
+}
+
+TEST(McsMReference, SingleDenseComponentMatches) {
+  // One large connected component (the synthetic streams' shape), from
+  // sparse with long fill chains to dense.
+  support::SplitMix64 rng(0xde05e);
+  for (const double p : {0.04, 0.1, 0.3}) {
+    Graph g = Graph::random(160, p, rng);
+    for (Vertex v = 1; v < g.vertex_count(); ++v) {
+      if (rng.uniform() < 0.5) g.add_edge(v - 1, v);  // fewer components
+    }
+    g.finalize();
+    expect_matches_reference(g, "dense p=" + std::to_string(p));
+  }
+}
+
+TEST(McsMReference, SmallRandomGraphsMatch) {
+  support::SplitMix64 rng(0x5eed5);
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::size_t n = 1 + rng.below(24);
+    const Graph g = Graph::random(n, rng.uniform(), rng);
+    expect_matches_reference(g, "random iteration " + std::to_string(iter));
+  }
 }
 
 }  // namespace
