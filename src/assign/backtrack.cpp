@@ -5,6 +5,7 @@
 #include "support/budget.h"
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
+#include "support/matching.h"
 
 namespace parmem::assign {
 namespace {

@@ -4,7 +4,8 @@
 // An instruction is conflict-free iff its operands admit a system of
 // distinct representatives over their copy sets — each operand can be read
 // from a module holding a copy of it, all from different modules (§2). The
-// SDR test is a tiny bipartite matching (support/matching.h).
+// SDR test is Kuhn's augmenting-path matching over the copy-set bitmasks,
+// allocation-free (support/matching.h is the general-purpose version).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 
 #include "assign/module_set.h"
 #include "ir/access.h"
-#include "support/matching.h"
 
 namespace parmem::assign {
 

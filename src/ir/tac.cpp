@@ -107,14 +107,14 @@ bool has_dst(Opcode op) {
   }
 }
 
-std::vector<ValueId> TacInstr::value_uses() const {
-  std::vector<ValueId> uses;
+ValueUses TacInstr::value_uses() const {
+  ValueUses uses;
   const auto push_unique = [&uses](const Operand& o) {
     if (!o.is_value()) return;
     for (const ValueId u : uses) {
       if (u == o.value) return;
     }
-    uses.push_back(o.value);
+    uses.ids[uses.n++] = o.value;
   };
   const int arity = operand_arity(op);
   if (arity >= 1) push_unique(a);

@@ -93,6 +93,15 @@ struct Operand {
   bool is_value() const { return kind == Kind::kValue; }
 };
 
+/// TacInstr::value_uses() without a heap allocation: up to 3 ids, inline.
+struct ValueUses {
+  ValueId ids[3] = {};
+  std::uint8_t n = 0;
+  const ValueId* begin() const { return ids; }
+  const ValueId* end() const { return ids + n; }
+  std::size_t size() const { return n; }
+};
+
 struct TacInstr {
   Opcode op = Opcode::kNop;
   ValueId dst = kInvalidValue;  // defined value, if has_dst(op)
@@ -105,8 +114,9 @@ struct TacInstr {
   std::uint32_t xfer_src_module = 0;
   std::uint32_t xfer_dst_module = 0;
 
-  /// Distinct scalar value ids read by this instruction (0..2 entries).
-  std::vector<ValueId> value_uses() const;
+  /// Distinct scalar value ids read by this instruction (0..3 entries), in
+  /// operand order.
+  ValueUses value_uses() const;
 };
 
 /// A lowered compilation unit: a flat instruction list plus its value and

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/region.h"
@@ -27,12 +28,18 @@ namespace parmem::sched {
 struct BlockDdg {
   std::uint32_t first = 0;
   std::uint32_t count = 0;
-  /// succs[i]: nodes that must be scheduled strictly after node i.
-  std::vector<std::vector<std::uint32_t>> succs;
+  /// CSR successors: node i must be scheduled strictly before each node of
+  /// succ[off[i] .. off[i + 1]), listed in ascending order.
+  std::vector<std::uint32_t> off;
+  std::vector<std::uint32_t> succ;
   /// Number of unscheduled predecessors (used as the ready-set counter).
   std::vector<std::uint32_t> pred_count;
   /// Critical-path height (1 for sinks) — the scheduling priority.
   std::vector<std::uint32_t> height;
+
+  std::span<const std::uint32_t> succs(std::uint32_t i) const {
+    return {succ.data() + off[i], succ.data() + off[i + 1]};
+  }
 
   static BlockDdg build(const ir::TacProgram& prog, const ir::Region& region);
 };

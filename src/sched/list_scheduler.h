@@ -37,6 +37,8 @@ struct SchedOptions {
 struct SchedStats {
   std::size_t words = 0;
   std::size_t ops = 0;
+  std::size_t ddg_edges = 0;      // dependence edges, all blocks
+  std::size_t ready_scanned = 0;  // ready ops examined, taken or skipped
   /// ops / words: the packing density the speedup bench reports.
   double ilp() const {
     return words == 0 ? 0.0

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "assign/placement_state.h"
+#include "support/matching.h"
+#include "support/rng.h"
 
 namespace parmem::assign {
 namespace {
@@ -43,6 +45,53 @@ TEST(PlacementState, ConflictFreeWithExtraIsHypothetical) {
   EXPECT_TRUE(st.conflict_free_with_extra({0, 1}, 1, 1));
   // The real state is unchanged.
   EXPECT_FALSE(st.combination_conflict_free({0, 1}));
+}
+
+// The allocation-free bitmask SDR test must answer exactly as the general
+// bipartite matcher does: random operand lists of 1-4 values (repeats
+// allowed, each needing its own module) over random copy sets, some empty.
+TEST(PlacementState, SdrCheckMatchesBipartiteMatcher) {
+  constexpr std::size_t kValues = 6;
+  support::SplitMix64 rng(0x5d12);
+  for (const std::size_t k : {2u, 4u, 8u, 32u}) {
+    SCOPED_TRACE(k);
+    const auto s = AccessStream::from_tuples(kValues, {});
+    std::size_t yes = 0, no = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+      PlacementState st(s, k);
+      // Copies drawn from the lowest `span` modules, so that wide machines
+      // still see crowded operands.
+      const std::size_t span = 1 + rng.below(k);
+      for (ir::ValueId v = 0; v < kValues; ++v) {
+        const std::size_t copies = rng.below(4);
+        for (std::size_t c = 0; c < copies; ++c) {
+          st.add_copy(v, static_cast<std::uint32_t>(rng.below(span)));
+        }
+      }
+      std::vector<ir::ValueId> ops(1 + rng.below(4));
+      for (ir::ValueId& v : ops) v = static_cast<ir::ValueId>(rng.below(kValues));
+      const auto extra_v = static_cast<ir::ValueId>(rng.below(kValues));
+      const auto extra_m = static_cast<std::uint32_t>(rng.below(k));
+
+      const auto reference = [&](bool with_extra) {
+        std::vector<std::vector<std::uint32_t>> choices;
+        for (const ir::ValueId v : ops) {
+          ModuleSet m = st.placement(v);
+          if (with_extra && v == extra_v) m |= module_bit(extra_m);
+          choices.push_back(modules_of(m));
+        }
+        return support::has_distinct_representatives(choices, k);
+      };
+      const bool plain = st.combination_conflict_free(ops);
+      EXPECT_EQ(plain, reference(false)) << "trial " << trial;
+      EXPECT_EQ(st.conflict_free_with_extra(ops, extra_v, extra_m),
+                reference(true))
+          << "trial " << trial;
+      (plain ? yes : no) += 1;
+    }
+    EXPECT_GT(yes, 400u);  // both answers well represented
+    EXPECT_GT(no, 400u);
+  }
 }
 
 TEST(Placement, SingleConstrainedInstructionGetsTheOnlyFix) {

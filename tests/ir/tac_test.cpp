@@ -31,13 +31,17 @@ TEST(TacInstr, ValueUsesCollectsDistinctValueOperands) {
   in.dst = 5;
   in.a = Operand::val(1);
   in.b = Operand::val(2);
-  EXPECT_EQ(in.value_uses(), (std::vector<ValueId>{1, 2}));
+  const auto uses = [&in] {
+    const ValueUses u = in.value_uses();
+    return std::vector<ValueId>(u.begin(), u.end());
+  };
+  EXPECT_EQ(uses(), (std::vector<ValueId>{1, 2}));
 
   in.b = Operand::val(1);  // same value twice: one fetch
-  EXPECT_EQ(in.value_uses(), (std::vector<ValueId>{1}));
+  EXPECT_EQ(uses(), (std::vector<ValueId>{1}));
 
   in.b = Operand::imm(std::int64_t{7});  // immediates are not fetches
-  EXPECT_EQ(in.value_uses(), (std::vector<ValueId>{1}));
+  EXPECT_EQ(uses(), (std::vector<ValueId>{1}));
 }
 
 TEST(TacProgram, PrintsReadableListing) {

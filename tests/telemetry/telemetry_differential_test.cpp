@@ -84,6 +84,10 @@ TEST(TelemetryDifferential, CompiledSnapshotMatchesPipelineStats) {
               static_cast<std::int64_t>(c.sched_stats.words));
     EXPECT_EQ(t.value("sched.transfers_scheduled"),
               static_cast<std::int64_t>(c.transfer_stats.transfers));
+    EXPECT_EQ(t.value("sched.ddg_edges"),
+              static_cast<std::int64_t>(c.sched_stats.ddg_edges));
+    EXPECT_EQ(t.value("sched.ready_scanned"),
+              static_cast<std::int64_t>(c.sched_stats.ready_scanned));
     EXPECT_EQ(t.value("assign.values_used"),
               static_cast<std::int64_t>(s.values_used));
     EXPECT_EQ(t.value("assign.copies_total"),
@@ -103,6 +107,22 @@ TEST(TelemetryDifferential, CompiledSnapshotMatchesPipelineStats) {
     }
     // Structural counters exist on every compile.
     EXPECT_TRUE(t.has("assign.conflict_edges"));
+  }
+}
+
+// The scheduler's work counts live in SchedStats whether or not telemetry
+// is compiled in; the counters only mirror them.
+TEST(TelemetryDifferential, SchedWorkCountsSurviveEitherBuild) {
+  for (const auto& w : workloads::all_workloads()) {
+    SCOPED_TRACE(w.name);
+    const analysis::Compiled c =
+        analysis::compile_mc(w.source, base_options(0));
+    const sched::SchedStats& s = c.sched_stats;
+    EXPECT_GT(s.ddg_edges, 0u);
+    // Every op is examined at least once, in the word that takes it.
+    EXPECT_GE(s.ready_scanned, s.ops);
+    EXPECT_EQ(c.telemetry.has("sched.ready_scanned"), telemetry::kEnabled);
+    EXPECT_EQ(c.telemetry.has("sched.ddg_edges"), telemetry::kEnabled);
   }
 }
 
