@@ -303,8 +303,15 @@ TEST(Rebalance, JournalMigratesAndSuccessorsWarmLoadByteIdentically) {
                c.recycled_workers >= 1;
       },
       10000));
-  // Wait out the recycled survivors' respawns.
-  ASSERT_TRUE(wait_until([&] { return rt.alive_workers() == 2; }, 10000));
+  // Wait out the recycled survivors' respawns. A killed survivor still
+  // counts as alive until the supervisor's death sweep sees it, so wait for
+  // the respawns themselves; the victim never respawns successfully.
+  ASSERT_TRUE(wait_until(
+      [&] {
+        const auto c = rt.counters();
+        return c.respawns >= c.recycled_workers && rt.alive_workers() == 2;
+      },
+      10000));
 
   // The migrated keys are served by their new owners from the warm-loaded
   // journal: byte-identical bytes, cache hits, no recompute.
