@@ -43,7 +43,6 @@
 #include "support/diagnostics.h"
 #include "support/json.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
 
@@ -742,138 +741,6 @@ struct Entry {
   bool identical = false;
 };
 
-// ---- speculative coloring tier: sequential heap vs chunk-parallel ----
-
-struct SpecEntry {
-  std::string name;
-  std::size_t vertices = 0;
-  double seq_ms = 0;           // sequential urgency-heap coloring
-  double t1_ms = 0;            // speculative, zero-worker pool (inline)
-  double t2_ms = 0;            // speculative, 2 execution contexts
-  double t4_ms = 0;            // speculative, 4 execution contexts
-  double speedup_t4 = 0;       // seq_ms / t4_ms
-  std::uint64_t rounds = 0;
-  std::uint64_t chunks = 0;
-  std::uint64_t conflicts = 0;
-  std::uint64_t repaired = 0;
-  std::size_t colors_seq = 0;
-  std::size_t colors_spec = 0;
-  std::size_t removed_seq = 0;
-  std::size_t removed_spec = 0;
-  std::size_t copies_seq = 0;
-  std::size_t copies_spec = 0;
-  bool deterministic = false;  // t1 and t4 colorings byte-identical
-  bool quality_ok = false;     // <= seq colors + 1, <= seq copies + 5%
-};
-
-// One coloring run of the whole graph as a single atom (use_atoms off), so
-// the timing isolates the kernel under comparison: the sequential urgency
-// heap when pool == nullptr, the speculative chunk-parallel rounds
-// otherwise.
-ColorResult color_kernel(const ConflictGraph& cg,
-                         const ir::AccessStream& stream,
-                         support::ThreadPool* pool, double& ms) {
-  ColorOptions co;
-  co.module_count = 8;
-  co.use_atoms = false;
-  co.pool = pool;
-  if (pool != nullptr) {
-    co.speculate_threshold = 1;
-    co.speculate_chunk = 256;
-  }
-  std::vector<bool> never_remove(cg.vertex_count(), false);
-  for (graph::Vertex v = 0; v < cg.vertex_count(); ++v) {
-    never_remove[v] = !stream.duplicatable[cg.value_of(v)];
-  }
-  std::vector<std::size_t> load(co.module_count, 0);
-  AssignWorkspace ws;
-  const auto t0 = Clock::now();
-  ColorResult cr = color_conflict_graph(cg, co, {}, never_remove, &load, &ws);
-  ms = ms_since(t0);
-  return cr;
-}
-
-std::size_t colors_used(const ColorResult& cr) {
-  std::uint32_t mask = 0;
-  for (const std::int32_t m : cr.module) {
-    if (m >= 0) mask |= 1u << static_cast<std::uint32_t>(m);
-  }
-  return static_cast<std::size_t>(std::popcount(mask));
-}
-
-std::size_t copies_after_duplication(
-    const ir::AccessStream& stream, const ConflictGraph& cg,
-    const ColorResult& cr, const std::vector<std::vector<ir::ValueId>>& insts) {
-  AssignWorkspace ws;
-  PhaseTimes unused;
-  const RunOutput out = finish_stor1(
-      stream, cg, cr, insts,
-      [&](PlacementState& st, const auto& is, const std::vector<bool>& rm,
-          support::SplitMix64& rng) {
-        hitting_set_duplicate(st, is, rm, stream.duplicatable, rng, &ws);
-      },
-      unused);
-  return out.total_copies;
-}
-
-SpecEntry bench_speculative(const std::string& name,
-                            const ir::AccessStream& stream, int reps) {
-  SpecEntry e;
-  e.name = name;
-
-  std::vector<std::vector<ir::ValueId>> insts;
-  insts.reserve(stream.tuples.size());
-  for (const auto& t : stream.tuples) insts.push_back(t.operands);
-  const auto cg = ConflictGraph::build_from_insts(stream.value_count, insts);
-  e.vertices = cg.vertex_count();
-
-  support::ThreadPool pool1(0);
-  support::ThreadPool pool2(1);
-  support::ThreadPool pool4(3);
-
-  ColorResult seq_cr, spec1_cr, spec4_cr;
-  for (int r = 0; r < reps; ++r) {
-    double seq = 0, t1 = 0, t2 = 0, t4 = 0;
-    ColorResult sc = color_kernel(cg, stream, nullptr, seq);
-    ColorResult c1 = color_kernel(cg, stream, &pool1, t1);
-    color_kernel(cg, stream, &pool2, t2);
-    ColorResult c4 = color_kernel(cg, stream, &pool4, t4);
-    if (r == 0) {
-      e.seq_ms = seq;
-      e.t1_ms = t1;
-      e.t2_ms = t2;
-      e.t4_ms = t4;
-      seq_cr = std::move(sc);
-      spec1_cr = std::move(c1);
-      spec4_cr = std::move(c4);
-    } else {
-      e.seq_ms = std::min(e.seq_ms, seq);
-      e.t1_ms = std::min(e.t1_ms, t1);
-      e.t2_ms = std::min(e.t2_ms, t2);
-      e.t4_ms = std::min(e.t4_ms, t4);
-    }
-  }
-
-  e.speedup_t4 = e.t4_ms > 0 ? e.seq_ms / e.t4_ms : 0.0;
-  e.rounds = spec4_cr.speculative.rounds;
-  e.chunks = spec4_cr.speculative.chunks;
-  e.conflicts = spec4_cr.speculative.conflicts;
-  e.repaired = spec4_cr.speculative.repaired;
-  e.deterministic = spec1_cr.module == spec4_cr.module &&
-                    spec1_cr.unassigned == spec4_cr.unassigned &&
-                    spec1_cr.forced == spec4_cr.forced;
-
-  e.colors_seq = colors_used(seq_cr);
-  e.colors_spec = colors_used(spec4_cr);
-  e.removed_seq = seq_cr.unassigned.size();
-  e.removed_spec = spec4_cr.unassigned.size();
-  e.copies_seq = copies_after_duplication(stream, cg, seq_cr, insts);
-  e.copies_spec = copies_after_duplication(stream, cg, spec4_cr, insts);
-  e.quality_ok = e.colors_spec <= e.colors_seq + 1 &&
-                 e.copies_spec <= e.copies_seq + (e.copies_seq + 19) / 20;
-  return e;
-}
-
 Entry bench_stream(const std::string& name, const ir::AccessStream& stream,
                    int reps) {
   Entry e;
@@ -909,7 +776,7 @@ Entry bench_stream(const std::string& name, const ir::AccessStream& stream,
 }
 
 void write_json(const std::string& path, const std::vector<Entry>& entries,
-                const std::vector<SpecEntry>& spec, bool quick) {
+                bool quick) {
   const auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
   support::JsonWriter w;
   const auto phase_times = [&](const char* k, const PhaseTimes& t) {
@@ -950,35 +817,6 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
     w.member_fixed("total", ratio(e.legacy.total(), e.csr.total()), 2);
     w.end_object();
     w.member("identical", e.identical);
-    w.end_object();
-  }
-  w.end_array();
-  // Speculative tier: sequential-heap vs chunk-parallel coloring on the
-  // same graph (single atom, threshold 1, chunk 256), with the quality
-  // differential against the sequential result.
-  w.key("speculative");
-  w.begin_array();
-  for (const SpecEntry& s : spec) {
-    w.begin_object();
-    w.member("stream", s.name);
-    w.member("vertices", s.vertices);
-    w.member_fixed("seq_color_ms", s.seq_ms, 3);
-    w.member_fixed("spec_color_ms_t1", s.t1_ms, 3);
-    w.member_fixed("spec_color_ms_t2", s.t2_ms, 3);
-    w.member_fixed("spec_color_ms_t4", s.t4_ms, 3);
-    w.member_fixed("speedup_t4", s.speedup_t4, 2);
-    w.member("rounds", s.rounds);
-    w.member("chunks", s.chunks);
-    w.member("conflicts_detected", s.conflicts);
-    w.member("conflicts_repaired", s.repaired);
-    w.member("colors_seq", s.colors_seq);
-    w.member("colors_spec", s.colors_spec);
-    w.member("removed_seq", s.removed_seq);
-    w.member("removed_spec", s.removed_spec);
-    w.member("copies_seq", s.copies_seq);
-    w.member("copies_spec", s.copies_spec);
-    w.member("deterministic", s.deterministic);
-    w.member("quality_ok", s.quality_ok);
     w.end_object();
   }
   w.end_array();
@@ -1066,34 +904,10 @@ int main(int argc, char** argv) {
     entries.push_back(std::move(e));
   }
 
-  std::vector<assign::SpecEntry> spec;
-  bool spec_deterministic = true;
-  for (const auto& [name, stream] : streams) {
-    assign::SpecEntry s = assign::bench_speculative(name, stream, reps);
-    std::printf(
-        "%-10s V=%-5zu  seq %8.2f ms  spec t4 %8.2f ms  speedup %5.2fx  "
-        "rounds=%llu conflicts=%llu  colors %zu->%zu removed %zu->%zu "
-        "copies %zu->%zu  %s%s\n",
-        s.name.c_str(), s.vertices, s.seq_ms, s.t4_ms, s.speedup_t4,
-        static_cast<unsigned long long>(s.rounds),
-        static_cast<unsigned long long>(s.conflicts), s.colors_seq,
-        s.colors_spec, s.removed_seq, s.removed_spec, s.copies_seq,
-        s.copies_spec,
-        s.deterministic ? "deterministic" : "NONDETERMINISTIC",
-        s.quality_ok ? "" : " QUALITY-REGRESSION");
-    spec_deterministic = spec_deterministic && s.deterministic;
-    spec.push_back(std::move(s));
-  }
-
-  assign::write_json(out_path, entries, spec, quick);
+  assign::write_json(out_path, entries, quick);
   std::printf("report written to %s\n", out_path.c_str());
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: legacy and CSR paths diverged\n");
-    return 1;
-  }
-  if (!spec_deterministic) {
-    std::fprintf(stderr,
-                 "FAIL: speculative coloring diverged across pool widths\n");
     return 1;
   }
   return 0;

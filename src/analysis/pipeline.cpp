@@ -88,10 +88,6 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
     assign_opts.pool = pool;
     assign_opts.budget = bp;
     assign_opts.memo_store = opts.atom_memo;
-    if (opts.parallel.speculate_threshold != 0) {
-      assign_opts.speculate_threshold = opts.parallel.speculate_threshold;
-      assign_opts.speculate_chunk = opts.parallel.speculate_chunk;
-    }
     c.assignment = assign::assign_modules(c.stream, assign_opts);
   }
   {

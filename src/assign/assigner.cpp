@@ -43,7 +43,6 @@ const char* tier_name(AssignTier t) {
   switch (t) {
     case AssignTier::kExact: return "exact";
     case AssignTier::kHeuristic: return "heuristic";
-    case AssignTier::kSpeculateFallback: return "speculate-fallback";
     case AssignTier::kHittingSet: return "hitting-set";
     case AssignTier::kBacktrackCap: return "backtrack-cap";
     case AssignTier::kResidual: return "residual";
@@ -350,8 +349,7 @@ void run_pass(PassContext& ctx,
     PARMEM_SPAN("assign.color");
     cr = color_conflict_graph(cg, {opts.module_count, opts.use_atoms,
                                    opts.pick, opts.pool, opts.budget,
-                                   opts.speculate_threshold,
-                                   opts.speculate_chunk, ctx.memo},
+                                   ctx.memo},
                               precolored, never_remove, ctx.module_load,
                               ctx.ws);
   } else {
@@ -382,11 +380,9 @@ void run_pass(PassContext& ctx,
     }
     const ColorResult cr2 = color_conflict_graph(
         cg2, {opts.module_count, opts.use_atoms, opts.pick, opts.pool,
-              opts.budget, opts.speculate_threshold, opts.speculate_chunk,
-              ctx.memo},
+              opts.budget, ctx.memo},
         pre2, nr2, ctx.module_load, ctx.ws);
     cr.budget_exhausted = cr2.budget_exhausted;
-    cr.speculative = cr2.speculative;
     // Map back onto the full-graph indexing.
     cr.module.assign(n, kUnassignedModule);
     for (graph::Vertex v = 0; v < n2; ++v) {
@@ -422,18 +418,6 @@ void run_pass(PassContext& ctx,
     }
   }
   ctx.stats->forced += cr.forced.size();
-  ctx.stats->speculative_rounds += cr.speculative.rounds;
-  ctx.stats->speculative_conflicts += cr.speculative.conflicts;
-  ctx.stats->speculative_repaired += cr.speculative.repaired;
-  ctx.stats->speculative_fallbacks += cr.speculative.fallbacks;
-  if (cr.speculative.fallbacks > 0) {
-    // The speculative tier burned its budget share and was discarded; the
-    // sequential heuristic produced this pass's coloring. Quality is intact
-    // but the compile paid for work it threw away — record the degradation
-    // so callers (and the assign.fallback_tier gauge) can see it.
-    *ctx.exhausted = true;
-    degrade(ctx, AssignTier::kSpeculateFallback);
-  }
 
   // Duplication phase over this pass's instructions. In atom-parallel mode
   // the instructions partition along the coloring's atoms (the skip branch

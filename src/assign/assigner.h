@@ -40,12 +40,6 @@ enum class DupMethod : std::uint8_t { kBacktracking, kHittingSet };
 ///   kExact        optional exact minimum-copies solver (oracle quality);
 ///   kHeuristic    Fig. 4 coloring + the configured duplication method run
 ///                 to completion — the normal full-effort path;
-///   kSpeculateFallback
-///                 the opt-in speculative coloring tier exhausted its budget
-///                 share mid-repair and was discarded; the sequential
-///                 heuristic finished under the remainder. Output quality is
-///                 exactly kHeuristic's — the tier records that the compile
-///                 degraded (paid for speculation it could not keep);
 ///   kHittingSet   coloring completed greedily and/or duplication reduced
 ///                 to the Fig. 7 pair step (two copies per V_unassigned
 ///                 value), skipping the iterative hitting-set rounds;
@@ -53,10 +47,11 @@ enum class DupMethod : std::uint8_t { kBacktracking, kHittingSet };
 ///                 cap as the only conflict-resolution effort;
 ///   kResidual     statically predictable conflicts accepted; any value
 ///                 still without a copy is parked in module 0.
+///
+/// The values are stable (compiled fingerprints mix them); 2 is retired.
 enum class AssignTier : std::uint8_t {
   kExact = 0,
   kHeuristic = 1,
-  kSpeculateFallback = 2,
   kHittingSet = 3,
   kBacktrackCap = 4,
   kResidual = 5,
@@ -92,14 +87,6 @@ struct AssignOptions {
   /// the serial execution of the same task graph). Null (default) keeps the
   /// legacy fully sequential path.
   support::ThreadPool* pool = nullptr;
-  /// Speculative intra-atom coloring (ColorOptions::speculate_threshold):
-  /// atoms with at least this many undecided vertices are colored by the
-  /// optimistic chunk-parallel tier instead of the sequential urgency heap.
-  /// 0 (default) disables; requires `pool`. Deterministic: byte-identical
-  /// output for every (threads, chunk) configuration.
-  std::size_t speculate_threshold = 0;
-  /// Chunk granularity for the speculative tier (scheduling only).
-  std::size_t speculate_chunk = 256;
   /// Resource budget (deadline / step count), cooperatively polled by the
   /// coloring sweep and all three duplication search kernels. Null
   /// (default) is unlimited and executes exactly the legacy instruction
@@ -140,14 +127,8 @@ struct AssignStats {
   std::size_t forced = 0;             // non-duplicable forced assignments
   std::size_t residual_conflict_tuples = 0;
   std::size_t duplication_rounds = 0;
-  // Speculative-tier accounting (zeros unless the tier was enabled). Not
-  // part of any golden hash: the byte-identity suites compare placements.
-  std::uint64_t speculative_rounds = 0;
-  std::uint64_t speculative_conflicts = 0;
-  std::uint64_t speculative_repaired = 0;
-  std::uint64_t speculative_fallbacks = 0;
-  // Incremental-memo accounting (zeros unless memo_store was set). Like the
-  // speculative stats, never part of a golden hash.
+  // Incremental-memo accounting (zeros unless memo_store was set). Not part
+  // of any golden hash: the byte-identity suites compare placements.
   std::uint64_t memo_decomp_hits = 0;
   std::uint64_t memo_decomp_misses = 0;
   std::uint64_t memo_color_hits = 0;    // atoms reused verbatim

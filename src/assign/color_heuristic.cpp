@@ -6,7 +6,6 @@
 
 #include "assign/incremental.h"
 #include "assign/module_set.h"
-#include "assign/speculate.h"
 
 #include "graph/atoms.h"
 #include "support/budget.h"
@@ -17,12 +16,24 @@
 
 namespace parmem::assign {
 
-// The urgency comparison (less_urgent) lives in the header: it is shared
-// with the speculative tier's serial tail and must inline into both sweeps.
 namespace {
 
 using graph::Vertex;
 using HeapEntry = AssignWorkspace::HeapEntry;
+
+/// Max-urgency comparison over heap entries (Fig. 4 ordering): U = w/kk with
+/// kk == 0 treated as +inf; ties break on larger s, then smaller vertex id.
+bool less_urgent(const HeapEntry& a, const HeapEntry& b) {
+  const bool a_inf = a.kk == 0, b_inf = b.kk == 0;
+  if (a_inf != b_inf) return !a_inf;  // a less urgent iff b is infinite
+  if (!a_inf) {
+    const std::uint64_t lhs = a.w * b.kk;  // cross-multiplied compare
+    const std::uint64_t rhs = b.w * a.kk;
+    if (lhs != rhs) return lhs < rhs;
+  }
+  if (a.s != b.s) return a.s < b.s;
+  return a.v > b.v;
+}
 
 /// Colors one atom; `module` carries decisions across atoms (vertices with
 /// module >= 0 are fixed, vertices in `decided_unassigned` stay removed).
@@ -85,19 +96,6 @@ void color_atom(const ConflictGraph& cg, const std::vector<Vertex>& atom,
     }
     ws.w_assigned[v] = wa;
     ws.neighbor_mods[v] = nm;
-  }
-
-  // Speculative tier: a large enough atom goes to the optimistic
-  // chunk-parallel rounds (speculate.h) instead of the urgency heap. On
-  // budget exhaustion the speculation is discarded wholesale and the
-  // sequential sweep below runs under the remaining budget, exactly as if
-  // the tier had never engaged.
-  if (opts.speculate_threshold != 0 && opts.pool != nullptr &&
-      ws.rest.size() >= opts.speculate_threshold) {
-    if (speculate_color_atom(cg, opts, module, decided, never_remove, load,
-                             ws, result)) {
-      return;
-    }
   }
 
   const auto k_of = [&](Vertex v) -> std::uint32_t {
@@ -297,7 +295,6 @@ void color_atoms_parallel(const ConflictGraph& cg,
     d.unassigned = std::move(local.unassigned);
     d.forced = std::move(local.forced);
     d.budget_exhausted = local.budget_exhausted;
-    d.spec = local.speculative;
     d.load_delta.resize(load.size());
     for (std::size_t m = 0; m < load.size(); ++m) {
       d.load_delta[m] = tls.load_snapshot[m] - load[m];
@@ -316,7 +313,6 @@ void color_atoms_parallel(const ConflictGraph& cg,
     }
     for (const Vertex v : d.forced) result.forced.push_back(v);
     result.budget_exhausted = result.budget_exhausted || d.budget_exhausted;
-    result.speculative.merge(d.spec);
     for (std::size_t m = 0; m < load.size(); ++m) load[m] += d.load_delta[m];
   }
 }

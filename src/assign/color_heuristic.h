@@ -63,19 +63,6 @@ struct ColorOptions {
   /// go to V_unassigned, never-remove ones are forced into their cheapest
   /// module — linear work, and the duplication tiers below clean up.
   support::Budget* budget = nullptr;
-  /// Speculative parallel coloring (speculate.h): an atom with at least this
-  /// many undecided vertices is colored by optimistic chunk-parallel rounds
-  /// with conflict repair instead of the sequential urgency heap. 0
-  /// (default) disables the tier; it also requires `pool`. The schedule is
-  /// deterministic: the result is a pure function of the input and
-  /// `speculate_chunk` — byte-identical for every worker count, including
-  /// the zero-worker inline execution.
-  std::size_t speculate_threshold = 0;
-  /// Vertices per speculative chunk. Part of the deterministic schedule:
-  /// each chunk runs its own urgency sweep over a snapshot, so a different
-  /// chunk size may produce a different (still conflict-free) coloring.
-  /// Worker count never does.
-  std::size_t speculate_chunk = 256;
   /// Incremental memo session (incremental.h). When set, the
   /// clique-separator decomposition is reused under a structure-only hash,
   /// and — in pool mode with no budget — each atom's coloring delta is
@@ -86,29 +73,6 @@ struct ColorOptions {
 };
 
 inline constexpr std::int32_t kUnassignedModule = -1;
-
-/// Work accounting for the speculative coloring tier (all zeros when the
-/// tier never engaged). Scheduling-independent: every field is a pure
-/// function of the input and the (threshold, chunk) configuration.
-struct SpeculateStats {
-  std::uint64_t atoms = 0;      // atoms colored to completion by the tier
-  std::uint64_t rounds = 0;     // optimistic rounds across those atoms
-  std::uint64_t chunks = 0;     // chunk tasks dispatched across all rounds
-  std::uint64_t conflicts = 0;  // tentative picks rejected by a neighbor
-  std::uint64_t repaired = 0;   // vertices committed after >= 1 rejection
-  std::uint64_t reclaimed = 0;  // removals undone by the swap post-pass
-  std::uint64_t fallbacks = 0;  // atoms abandoned to the sequential sweep
-
-  void merge(const SpeculateStats& o) {
-    atoms += o.atoms;
-    rounds += o.rounds;
-    chunks += o.chunks;
-    conflicts += o.conflicts;
-    repaired += o.repaired;
-    reclaimed += o.reclaimed;
-    fallbacks += o.fallbacks;
-  }
-};
 
 struct ColorResult {
   /// Per conflict-graph vertex: module index, or kUnassignedModule if the
@@ -125,28 +89,7 @@ struct ColorResult {
   /// True iff the budget tripped during coloring and some vertices were
   /// finished by the greedy completion instead of the urgency heap.
   bool budget_exhausted = false;
-  /// Speculative-tier accounting (zeros unless speculate_threshold engaged).
-  SpeculateStats speculative;
 };
-
-/// Max-urgency comparison over heap entries (Fig. 4 ordering): U = w/kk with
-/// kk == 0 treated as +inf; ties break on larger s, then smaller vertex id.
-/// Shared between the sequential urgency heap and the speculative tier's
-/// per-chunk sweeps; inline because it is the comparator of every heap
-/// operation both make — an out-of-line call per comparison dominates the
-/// sweep on large atoms.
-inline bool less_urgent(const AssignWorkspace::HeapEntry& a,
-                        const AssignWorkspace::HeapEntry& b) {
-  const bool a_inf = a.kk == 0, b_inf = b.kk == 0;
-  if (a_inf != b_inf) return !a_inf;  // a less urgent iff b is infinite
-  if (!a_inf) {
-    const std::uint64_t lhs = a.w * b.kk;  // cross-multiplied compare
-    const std::uint64_t rhs = b.w * a.kk;
-    if (lhs != rhs) return lhs < rhs;
-  }
-  if (a.s != b.s) return a.s < b.s;
-  return a.v > b.v;
-}
 
 /// Runs the heuristic.
 /// @param precolored per-vertex module or kUnassignedModule; empty == none.

@@ -90,13 +90,6 @@ std::string encode_color_delta(const ColorAtomDelta& d) {
   put_u64(out, d.load_delta.size());
   for (const std::size_t l : d.load_delta) put_u64(out, l);
   put_u64(out, d.budget_exhausted ? 1 : 0);
-  put_u64(out, d.spec.atoms);
-  put_u64(out, d.spec.rounds);
-  put_u64(out, d.spec.chunks);
-  put_u64(out, d.spec.conflicts);
-  put_u64(out, d.spec.repaired);
-  put_u64(out, d.spec.reclaimed);
-  put_u64(out, d.spec.fallbacks);
   return out;
 }
 
@@ -136,13 +129,6 @@ bool decode_color_delta(std::string_view in, ColorAtomDelta* d) {
   std::uint64_t b = 0;
   if (!get_u64(in, pos, &b)) return false;
   d->budget_exhausted = b != 0;
-  std::uint64_t* const spec[] = {&d->spec.atoms,     &d->spec.rounds,
-                                 &d->spec.chunks,    &d->spec.conflicts,
-                                 &d->spec.repaired,  &d->spec.reclaimed,
-                                 &d->spec.fallbacks};
-  for (std::uint64_t* f : spec) {
-    if (!get_u64(in, pos, f)) return false;
-  }
   return pos == in.size();
 }
 
@@ -248,8 +234,6 @@ void color_closure_key(const ConflictGraph& cg,
   ch.add_u64(0xC1);
   ch.add_u64(opts.module_count);
   ch.add_u64(static_cast<std::uint64_t>(opts.pick));
-  ch.add_u64(opts.speculate_threshold);
-  ch.add_u64(opts.speculate_chunk);
   ch.add_u64(atom.size());
   for (const Vertex v : atom) {
     ch.add_u64(v);

@@ -158,7 +158,6 @@ struct ColorAtomDelta {
   std::vector<graph::Vertex> forced;
   std::vector<std::size_t> load_delta;
   bool budget_exhausted = false;
-  SpeculateStats spec;
 };
 
 /// Per-atom duplication delta — the unit journaled under kAtomDup.

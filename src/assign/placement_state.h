@@ -30,7 +30,7 @@ class PlacementState {
   bool add_copy(ir::ValueId v, std::uint32_t m);
 
   /// Overwrites the copy set of `v` — rolls a scratch state back to a
-  /// saved placement after speculative add_copy calls.
+  /// saved placement after trial add_copy calls.
   void set_placement(ir::ValueId v, ModuleSet s) { placement_[v] = s; }
 
   std::size_t copies(ir::ValueId v) const { return copy_count(placement_[v]); }

@@ -207,7 +207,9 @@ Triangulation mcs_m(const Graph& g) {
       weight[y] += 1;
       queue.push_back(select_key(y));
       std::push_heap(queue.begin(), queue.end());
-      if (!g.has_edge(x, y)) {
+      // x's live row was seeded with minimax -1 and every relaxation
+      // carries a key >= 0, so this is !has_edge(x, y) for unnumbered y.
+      if (scratch.score[y] != McsmScratch::key(scratch.epoch, -1)) {
         result.fill.emplace_back(std::min(x, y), std::max(x, y));
       }
     }

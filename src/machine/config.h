@@ -54,17 +54,6 @@ struct ParallelConfig {
   /// Diagnostic escape hatch: ignore `threads` and force the legacy
   /// sequential path.
   bool force_serial = false;
-  /// Speculative intra-atom coloring: a conflict-graph atom with at least
-  /// this many undecided vertices is colored by optimistic chunk-parallel
-  /// rounds with conflict repair instead of the sequential urgency heap
-  /// (assign/speculate.h). 0 (default) keeps the tier off; enabling it
-  /// requires `threads >= 1`. Output is a pure function of the input and
-  /// `speculate_chunk`: byte-identical for every thread count, but a
-  /// different chunk size is a different (still conflict-free) schedule.
-  std::size_t speculate_threshold = 0;
-  /// Vertices per speculative chunk; part of the deterministic schedule
-  /// (see above). The thread count never changes the produced assignment.
-  std::size_t speculate_chunk = 256;
 
   std::size_t effective_threads() const { return force_serial ? 0 : threads; }
 };

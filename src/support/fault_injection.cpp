@@ -40,7 +40,6 @@ const std::vector<std::string>& FaultInjector::known_sites() {
       "assign.exact",
       "assign.hitting_set",
       "assign.pass",
-      "assign.speculate",
       "cache.atom_journal",
       "pipeline.assign",
       "pipeline.parse",

@@ -384,29 +384,21 @@ class FaultSweep : public ::testing::Test {
  protected:
   void TearDown() override { support::FaultInjector::instance().reset(); }
 
-  static std::vector<std::string> discover_sites(std::size_t threads,
-                                                 bool speculate = false) {
+  static std::vector<std::string> discover_sites(std::size_t threads) {
     auto& injector = support::FaultInjector::instance();
     injector.reset();
     injector.set_recording(true);
     compile_mc(workloads::all_workloads().front().source,
-               sweep_options(threads, speculate));
+               sweep_options(threads));
     const auto sites = injector.sites();
     injector.reset();
     return sites;
   }
 
-  static PipelineOptions sweep_options(std::size_t threads,
-                                       bool speculate = false) {
+  static PipelineOptions sweep_options(std::size_t threads) {
     PipelineOptions opts;
     opts.parallel.threads = threads;
     opts.unroll.max_trip = 4;
-    if (speculate) {
-      // Threshold 1 routes every atom through the speculative tier, so the
-      // "assign.speculate" fault point is guaranteed to fire.
-      opts.parallel.speculate_threshold = 1;
-      opts.parallel.speculate_chunk = 8;
-    }
     return opts;
   }
 };
@@ -425,15 +417,10 @@ TEST_F(FaultSweep, RecordingDiscoversTheTaggedSites) {
   const auto pooled = discover_sites(2);
   EXPECT_TRUE(has(pooled, "pool.task"));
 
-  const auto speculative = discover_sites(2, /*speculate=*/true);
-  EXPECT_TRUE(has(speculative, "assign.speculate"));
-  EXPECT_FALSE(has(pooled, "assign.speculate"))
-      << "the speculative fault point fired with the tier disabled";
-
   // Registry sync: every site the pipeline actually fires must be listed in
   // known_sites(), or arming it (as the sweeps below do) would be rejected.
   const auto& known = support::FaultInjector::known_sites();
-  for (const auto& sites : {serial, pooled, speculative}) {
+  for (const auto& sites : {serial, pooled}) {
     for (const std::string& site : sites) {
       EXPECT_TRUE(std::binary_search(known.begin(), known.end(), site))
           << "fired site '" << site << "' missing from known_sites()";
@@ -481,48 +468,6 @@ TEST_F(FaultSweep, HardFaultsAreContainedByTheBatch) {
       }
       support::FaultInjector::instance().reset();
     }
-  }
-}
-
-TEST_F(FaultSweep, SpeculativeTierSurvivesEverySeededFault) {
-  // The speculative coloring path adds one fault point, "assign.speculate",
-  // firing before any speculative state exists. A simulated timeout trips
-  // the compile budget, so the tier's entry polls catch it and fall back to
-  // the sequential heap (recorded as a degraded result, never a throw);
-  // hard faults propagate out of compile_mc and must be contained by
-  // compile_batch exactly like every other site.
-  const auto& w = workloads::all_workloads().front();
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    support::FaultInjector::instance().arm("assign.speculate",
-                                           support::FaultKind::kTimeout);
-    Compiled c;
-    ASSERT_NO_THROW(c = compile_mc(w.source, sweep_options(threads, true)));
-    EXPECT_TRUE(c.assignment.budget_exhausted);
-    EXPECT_GE(c.assignment.stats.speculative_fallbacks, 1u)
-        << "the tripped budget must be recorded as a speculative fallback";
-    expect_well_formed(c.stream, c.assignment, "speculate timeout");
-    support::FaultInjector::instance().reset();
-  }
-
-  std::vector<std::string> sources = {valid_source(0), valid_source(1),
-                                      valid_source(2)};
-  for (const auto kind : {support::FaultKind::kBadAlloc,
-                          support::FaultKind::kInternalError}) {
-    SCOPED_TRACE(support::fault_kind_name(kind));
-    support::FaultInjector::instance().arm("assign.speculate", kind);
-    // threads=1 keeps a pool (the tier needs one) while running the jobs
-    // serially in index order, so the one-shot fault always lands in job 0.
-    std::vector<CompileResult> got;
-    ASSERT_NO_THROW(got = compile_batch(sources, sweep_options(1, true)));
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0].status, CompileStatus::kInternalError);
-    EXPECT_FALSE(got[0].compiled.has_value());
-    for (std::size_t i = 1; i < got.size(); ++i) {
-      ASSERT_TRUE(got[i].ok()) << "job " << i << ": " << got[i].diagnostic;
-      EXPECT_TRUE(got[i].compiled->verify.ok());
-    }
-    support::FaultInjector::instance().reset();
   }
 }
 

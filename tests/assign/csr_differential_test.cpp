@@ -272,96 +272,6 @@ void check_stream_against_goldens(const std::string& name) {
   }
 }
 
-// Runs the speculative tier for one golden-row config at a given pool width
-// and chunk size. threshold 1 forces every atom through the speculative
-// path regardless of size, so the determinism contract is exercised on
-// small atoms too (single-chunk rounds) and large ones (multi-chunk).
-std::uint64_t run_speculative(const ir::AccessStream& stream,
-                              const GoldenRow& row, std::size_t workers,
-                              std::size_t chunk) {
-  support::ThreadPool pool(workers);
-  AssignOptions o;
-  o.module_count = row.k;
-  o.strategy = static_cast<Strategy>(row.strategy);
-  o.method = static_cast<DupMethod>(row.method);
-  o.pool = &pool;
-  o.speculate_threshold = 1;
-  o.speculate_chunk = chunk;
-  return hash_result(assign_modules(stream, o));
-}
-
-// The speculative tier's determinism contract: for a fixed stream and
-// config, the full AssignResult is a pure function of the input and the
-// chunk size. Byte-identical across repeated runs and across pool widths
-// 1/2/4 — worker count only changes who computes what. The chunk size is
-// part of the schedule (each chunk runs its own urgency sweep), so each
-// chunk size gets its own reference, pinned across the same pool widths.
-void check_stream_speculative(const std::string& name) {
-  const ir::AccessStream stream = make_stream(name);
-  for (const GoldenRow& row : kGoldens) {
-    if (name != row.stream) continue;
-    const std::string label = name + " k=" + std::to_string(row.k) +
-                              " strat=" + std::to_string(row.strategy) +
-                              " method=" + std::to_string(row.method);
-    const std::uint64_t ref = run_speculative(stream, row, 0, 16);
-    EXPECT_EQ(run_speculative(stream, row, 0, 16), ref)
-        << label << " (t1 c16 repeat)";
-    EXPECT_EQ(run_speculative(stream, row, 1, 16), ref)
-        << label << " (t2 c16)";
-    EXPECT_EQ(run_speculative(stream, row, 3, 16), ref)
-        << label << " (t4 c16)";
-    const std::uint64_t ref64 = run_speculative(stream, row, 0, 64);
-    EXPECT_EQ(run_speculative(stream, row, 1, 64), ref64)
-        << label << " (t2 c64)";
-    EXPECT_EQ(run_speculative(stream, row, 3, 64), ref64)
-        << label << " (t4 c64)";
-  }
-}
-
-TEST(SpeculativeDifferential, PaperWorkloadsDeterministic) {
-  for (const char* name :
-       {"TAYLOR1", "TAYLOR2", "EXACT", "FFT", "SORT", "COLOR"}) {
-    check_stream_speculative(name);
-  }
-}
-
-TEST(SpeculativeDifferential, SyntheticSmallDeterministic) {
-  check_stream_speculative("syn_small");
-}
-
-TEST(SpeculativeDifferential, SyntheticMidDeterministic) {
-  check_stream_speculative("syn_mid");
-}
-
-// End-to-end: the whole Compiled artifact (LIW schedule + placement +
-// removals + tier) is identical whether the speculative pipeline runs on
-// 1, 2, or 4 threads.
-TEST(SpeculativeDifferential, CompiledOutputIdenticalAcrossThreads) {
-  for (const auto& w : workloads::all_workloads()) {
-    if (w.name != "FFT" && w.name != "SORT") continue;
-    std::uint64_t ref = 0;
-    bool have_ref = false;
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      analysis::PipelineOptions o;
-      o.sched.fu_count = 8;
-      o.sched.module_count = 8;
-      o.assign.module_count = 8;
-      o.rename = true;
-      o.parallel.threads = threads;
-      o.parallel.speculate_threshold = 1;
-      o.parallel.speculate_chunk = 16;
-      const std::uint64_t fp =
-          analysis::compiled_fingerprint(analysis::compile_mc(w.source, o));
-      if (!have_ref) {
-        ref = fp;
-        have_ref = true;
-      } else {
-        EXPECT_EQ(fp, ref) << w.name << " threads=" << threads;
-      }
-    }
-  }
-}
-
 TEST(CsrDifferential, PaperWorkloadsMatchSeedGoldens) {
   for (const char* name :
        {"TAYLOR1", "TAYLOR2", "EXACT", "FFT", "SORT", "COLOR"}) {

@@ -67,7 +67,6 @@ class AssignProperty : public ::testing::TestWithParam<Config> {};
 TEST_P(AssignProperty, NoPredictableConflictSurvives) {
   const Config cfg = GetParam();
   support::SplitMix64 rng(0xfeedULL + cfg.module_count);
-  support::ThreadPool pool(2);
   for (int iter = 0; iter < 20; ++iter) {
     const std::size_t nv = 4 + rng.below(30);
     const std::size_t nt = 2 + rng.below(40);
@@ -80,27 +79,14 @@ TEST_P(AssignProperty, NoPredictableConflictSurvives) {
     o.strategy = cfg.strategy;
     o.method = cfg.method;
     o.seed = 1000 + static_cast<std::uint64_t>(iter);
-    // The sequential path and the speculative tier (threshold 1 engages it
-    // on every atom) must both satisfy the paper's invariants — the
-    // speculative coloring is allowed to differ, not to be wrong.
-    AssignOptions so = o;
-    so.pool = &pool;
-    so.speculate_threshold = 1;
-    so.speculate_chunk = 4;
-    const struct {
-      AssignResult r;
-      const char* mode;
-    } runs[] = {{assign_modules(s, o), "sequential"},
-                {assign_modules(s, so), "speculative"}};
-    for (const auto& [r, mode] : runs) {
-      const auto report = verify_assignment(s, r);
-      EXPECT_TRUE(report.ok())
-          << mode << " iter " << iter << ": "
-          << report.conflicting_tuples.size() << " conflicting tuples, "
-          << report.missing_values.size() << " missing values";
-      for (const ModuleSet m : r.placement) {
-        EXPECT_LE(copy_count(m), cfg.module_count);
-      }
+    const AssignResult r = assign_modules(s, o);
+    const auto report = verify_assignment(s, r);
+    EXPECT_TRUE(report.ok())
+        << "iter " << iter << ": " << report.conflicting_tuples.size()
+        << " conflicting tuples, " << report.missing_values.size()
+        << " missing values";
+    for (const ModuleSet m : r.placement) {
+      EXPECT_LE(copy_count(m), cfg.module_count);
     }
   }
 }
@@ -191,22 +177,19 @@ TEST(AssignPropertyRandomized, InvariantsHoldAcrossModuleCounts) {
       AssignOptions po = o;
       po.pool = &pool;
       check(assign_modules(s, po), "atom-parallel");
-      AssignOptions so = po;
-      so.speculate_threshold = 1;
-      so.speculate_chunk = 8;
-      check(assign_modules(s, so), "speculative");
     }
   }
 }
 
-// Independent conflict-freedom check for the speculative tier: the coloring
-// it returns is validated against a raw edge list recomputed directly from
-// the tuples — no conflict-graph machinery, no golden hashes. Two adjacent
+// Independent conflict-freedom check for the coloring sweep, serial and
+// atom-parallel: the coloring it returns is validated against a raw edge
+// list recomputed directly from the tuples — no conflict-graph machinery, no
+// golden hashes. Two adjacent
 // vertices may share a module only if one of them was *forced* (mutable
 // value with no free module); every module index must be within the
 // machine's module count; and every vertex must end either colored or in
 // V_unassigned.
-TEST(SpeculativeColoringProperty, ConflictFreeAgainstRawEdgeList) {
+TEST(ColoringProperty, ConflictFreeAgainstRawEdgeList) {
   support::SplitMix64 rng(0x5bec);
   support::ThreadPool pool1(0);  // inline execution
   support::ThreadPool pool4(3);
@@ -240,23 +223,20 @@ TEST(SpeculativeColoringProperty, ConflictFreeAgainstRawEdgeList) {
 
     const struct {
       support::ThreadPool* pool;
-      std::size_t chunk;
       bool use_atoms;
-    } modes[] = {{&pool1, 4, true}, {&pool4, 16, true}, {&pool4, 4, false}};
+    } modes[] = {{nullptr, true}, {&pool1, true}, {&pool4, true},
+                 {nullptr, false}};
     for (const auto& m : modes) {
-      SCOPED_TRACE("iter=" + std::to_string(iter) + " chunk=" +
-                   std::to_string(m.chunk) +
+      SCOPED_TRACE("iter=" + std::to_string(iter) + " workers=" +
+                   (m.pool == nullptr ? std::string("none")
+                                      : std::to_string(m.pool->worker_count())) +
                    " atoms=" + std::to_string(m.use_atoms));
       ColorOptions co;
       co.module_count = k;
       co.use_atoms = m.use_atoms;
       co.pool = m.pool;
-      co.speculate_threshold = 1;
-      co.speculate_chunk = m.chunk;
       const ColorResult cr = color_conflict_graph(cg, co, {}, never_remove);
       ASSERT_EQ(cr.module.size(), n);
-      EXPECT_GE(cr.speculative.atoms + cr.speculative.fallbacks, 1u)
-          << "speculative tier never engaged";
 
       std::vector<bool> forced(n, false);
       for (const graph::Vertex v : cr.forced) forced[v] = true;

@@ -166,23 +166,6 @@ TEST(Graph, NeighborBaseIndexesTheFlatArray) {
   EXPECT_EQ(expected, g.neighbor_array_size());
 }
 
-TEST(Graph, HasEdgeAgreesAboveBitsetLimit) {
-  // One vertex past the bitset cap: finalize() must fall back to binary
-  // search over the CSR rows and still answer identically.
-  const std::size_t n = Graph::kAdjacencyBitsetMaxVertices + 1;
-  Graph g(n);
-  g.add_edge(0, 1);
-  g.add_edge(0, static_cast<Vertex>(n - 1));
-  g.add_edge(17, 4242);
-  Graph f = g;
-  f.finalize();
-  EXPECT_TRUE(f.has_edge(0, 1));
-  EXPECT_TRUE(f.has_edge(static_cast<Vertex>(n - 1), 0));
-  EXPECT_TRUE(f.has_edge(4242, 17));
-  EXPECT_FALSE(f.has_edge(1, 2));
-  EXPECT_FALSE(f.has_edge(17, 4243));
-}
-
 TEST(Graph, RandomGraphRespectsProbabilityBounds) {
   support::SplitMix64 rng(1);
   Graph empty = Graph::random(20, 0.0, rng);
