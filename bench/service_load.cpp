@@ -89,6 +89,7 @@
 #include "support/json.h"
 #include "support/net.h"
 #include "support/rng.h"
+#include "support/text.h"
 #include "telemetry/export.h"
 #include "workloads/stream_gen.h"
 #include "workloads/workloads.h"
@@ -921,7 +922,7 @@ int run_tcp_chaos(bool quick, const std::string& parmemd_path) {
       owners.push_back(owner.has_value() ? static_cast<char>(*owner)
                                          : '\xff');
     }
-    if (rt.ring_digest() != service::fnv1a64(owners)) {
+    if (rt.ring_digest() != support::fnv1a64(owners)) {
       std::fprintf(stderr,
                    "FAIL: rebalanced ring digest is not the fresh-ring "
                    "digest over the survivors\n");

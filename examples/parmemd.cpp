@@ -341,7 +341,7 @@ int run_soak(service::ServiceOptions opts, std::uint64_t seconds,
           static const char* kSites[] = {"service.worker", "service.admit",
                                          "service.cache_store",
                                          "pipeline.assign",
-                                         "cache.atom_journal"};
+                                         "cache.journal"};
           support::FaultInjector::instance().arm(
               kSites[rng.below(5)], kKinds[rng.below(3)], 1 + rng.below(3));
         }

@@ -7,6 +7,7 @@
 #include "lower/lower.h"
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
+#include "support/text.h"
 #include "support/thread_pool.h"
 #include "telemetry/telemetry.h"
 
@@ -112,7 +113,7 @@ Compiled compile_mc(const std::string& source, const PipelineOptions& opts,
 }
 
 Compiled compile_mc(const std::string& source, const PipelineOptions& opts) {
-  const std::size_t threads = opts.parallel.effective_threads();
+  const std::size_t threads = opts.parallel.threads;
   if (threads == 0) {
     return compile_mc(source, opts, nullptr);
   }
@@ -150,7 +151,7 @@ std::vector<CompileResult> compile_batch(
       r.compiled.reset();
     }
   };
-  const std::size_t threads = opts.parallel.effective_threads();
+  const std::size_t threads = opts.parallel.threads;
   if (threads == 0) {
     for (std::size_t i = 0; i < sources.size(); ++i) {
       if (cancel != nullptr && cancel->cancelled()) break;
@@ -171,10 +172,10 @@ std::vector<CompileResult> compile_batch(
 }
 
 std::uint64_t compiled_fingerprint(const Compiled& compiled) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64 offset basis
+  std::uint64_t h = support::kFnv1a64OffsetBasis;
   const auto mix_byte = [&h](unsigned char b) {
     h ^= b;
-    h *= 1099511628211ULL;
+    h *= support::kFnv1a64Prime;
   };
   const auto mix_u64 = [&](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) mix_byte(static_cast<unsigned char>(v >> (8 * i)));

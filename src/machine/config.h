@@ -51,11 +51,6 @@ const char* array_policy_name(ArrayPolicy p);
 /// tests, `threads == t` runs them on t-1 pool workers plus the caller.
 struct ParallelConfig {
   std::size_t threads = 0;
-  /// Diagnostic escape hatch: ignore `threads` and force the legacy
-  /// sequential path.
-  bool force_serial = false;
-
-  std::size_t effective_threads() const { return force_serial ? 0 : threads; }
 };
 
 struct MachineConfig {

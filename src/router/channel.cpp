@@ -19,6 +19,7 @@
 #include "support/diagnostics.h"
 #include "support/net.h"
 #include "support/rng.h"
+#include "support/text.h"
 #include "telemetry/telemetry.h"
 
 namespace parmem::router {
@@ -215,7 +216,7 @@ class TcpWorker : public WorkerChannel {
     // Seed the inter-attempt jitter by the endpoint so a fleet of workers
     // reconnecting after a shared outage spreads out instead of stampeding.
     const std::uint64_t seed =
-        service::fnv1a64(host + ":" + std::to_string(port));
+        support::fnv1a64(host + ":" + std::to_string(port));
     int fd = -1;
     for (std::uint32_t attempt = 1;; ++attempt) {
       try {

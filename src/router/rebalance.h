@@ -1,19 +1,20 @@
 // On-disk cache-shard migration for permanently failed workers.
 //
 // A fleet driven by parmem_router keeps one result-cache journal directory
-// per worker index (`<cache_root>/w<i>`), each file named by its cache key
-// (`<16-hex-key>.res`, service/cache.h). That naming makes the shard
-// re-routable without reading a byte of payload: when worker `i` fails for
-// good and the router retires its ring points, every journal entry's new
-// home is `owner_of(key)` on the post-retirement ring. migrate_result_shard
-// renames the files across (same filesystem — the per-index dirs share a
-// root), so the successor's next warm restart loads the merged journal via
-// the existing crash-safe load path: corrupt or torn entries are skipped,
-// loaded payloads are checksum-verified byte-identical.
+// per worker index (`<cache_root>/w<i>`), each file named by its journal
+// kind and cache key (support::journal_entry_name). That naming makes the
+// shard re-routable without reading a byte of payload: when worker `i`
+// fails for good and the router retires its ring points, every journal
+// entry's new home is `owner_of(key)` on the post-retirement ring.
+// migrate_result_shard renames the files across (same filesystem — the
+// per-index dirs share a root), so the successor's next warm restart loads
+// the merged journal via the existing crash-safe load path: corrupt or
+// torn entries are skipped, loaded payloads are checksum-verified
+// byte-identical.
 //
-// Only `.res` entries move. Atom-cache files (`.atom`) are keyed by atom
-// content hash, not by request cache key — they cannot be ring-routed, and
-// the successor rebuilds them incrementally.
+// Only entries of kind service::kResultJournalKind move. Atom-cache entries
+// are keyed by atom content hash, not by request cache key — they cannot be
+// ring-routed, and the successor rebuilds them incrementally.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +24,11 @@
 
 namespace parmem::router {
 
-/// Moves every parseable `<16-hex-key>.res` entry under
+/// Moves every result-kind journal entry under
 /// `<cache_root>/w<failed_index>` into `<cache_root>/w<owner_of(key)>`.
-/// Entries whose key cannot be parsed, whose owner is unknown (empty
-/// ring), or whose rename fails are left behind and counted as skipped.
+/// Files that are not result entries stay in place uncounted; entries
+/// whose owner is unknown (empty ring) or whose rename fails are left
+/// behind and counted as skipped.
 /// Returns the report the router uses to recycle the warmed successors.
 /// Never throws.
 RebalanceReport migrate_result_shard(const std::string& cache_root,

@@ -7,6 +7,7 @@
 #include "support/diagnostics.h"
 #include "support/fault_injection.h"
 #include "support/rng.h"
+#include "support/text.h"
 
 namespace parmem::router {
 
@@ -160,7 +161,7 @@ std::uint64_t Router::ring_digest() const {
     const auto owner = ring_.owner(key);
     owners.push_back(owner.has_value() ? static_cast<char>(*owner) : '\xff');
   }
-  return service::fnv1a64(owners);
+  return support::fnv1a64(owners);
 }
 
 void Router::publish_gauge(Slot& slot, std::size_t inflight) {
@@ -571,7 +572,10 @@ void Router::tick_slots(Clock::time_point now) {
       std::lock_guard<std::mutex> lk(mu_);
       if (draining_) continue;  // drain stops respawning; teardown reaps
     }
-    ++a.slot->incarnation;
+    {
+      std::lock_guard<std::mutex> lk(a.slot->mu);  // workers() reads it
+      ++a.slot->incarnation;
+    }
     if (spawn_slot(*a.slot)) {
       bump(&Counters::respawns);
       PARMEM_COUNTER_ADD("route.respawns", 1);

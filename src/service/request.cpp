@@ -149,15 +149,6 @@ const char* response_status_name(ResponseStatus s) {
   return "?";
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::string format_request(const CompileRequest& req) {
   std::string out = "parmem-request 1\n";
   out += "id " + std::to_string(req.id) + '\n';
@@ -262,7 +253,7 @@ CompileRequest parse_request(std::string_view payload) {
 std::uint64_t cache_key(const CompileRequest& req) {
   CompileRequest canonical = req;
   canonical.id = 0;
-  return fnv1a64(format_request(canonical));
+  return support::fnv1a64(format_request(canonical));
 }
 
 std::string cacheable_part(const CompileResponse& resp) {

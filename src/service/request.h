@@ -43,6 +43,7 @@
 #include <string_view>
 
 #include "assign/assigner.h"
+#include "support/text.h"
 
 namespace parmem::service {
 
@@ -74,6 +75,10 @@ CompileRequest parse_request(std::string_view payload);
 /// Content-hash cache key: FNV-1a 64 over the canonical encoding with the
 /// id zeroed, so equal compile inputs share a key regardless of request id.
 std::uint64_t cache_key(const CompileRequest& req);
+
+/// The support::Journal kind of result-cache entries (check 0). No
+/// assign::MemoKind uses it, so a result entry never reads as an atom memo.
+inline constexpr std::uint8_t kResultJournalKind = 0;
 
 /// Every response status is terminal — a request gets exactly one of these.
 enum class ResponseStatus : std::uint8_t {
@@ -116,8 +121,8 @@ std::string response_from_cache(std::uint64_t id, std::string_view cached);
 /// Throws support::UserError on any malformed payload.
 CompileResponse parse_response(std::string_view payload);
 
-/// FNV-1a 64 of an arbitrary byte string (the stream-request fingerprint
-/// and the cache's entry checksum).
-std::uint64_t fnv1a64(std::string_view bytes);
+/// The stream-request fingerprint hash (support/text.h), re-exported for
+/// clients of the service API.
+using support::fnv1a64;
 
 }  // namespace parmem::service

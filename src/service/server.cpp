@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <filesystem>
 #include <new>
 #include <utility>
 
@@ -57,6 +58,23 @@ std::string render_stream_artifact(const ir::AccessStream& stream,
   return out;
 }
 
+/// Rejects one directory named for both journals: they share one on-disk
+/// format, so each would load, and LRU-evict, the other's entries.
+ServiceOptions reject_shared_journal_dir(ServiceOptions opts) {
+  // Appending "" gives both spellings a trailing separator, so "d" and
+  // "d/" normalise alike.
+  const auto normal = [](const std::string& dir) {
+    return (std::filesystem::path(dir) / "").lexically_normal();
+  };
+  if (!opts.cache_dir.empty() && !opts.atom_cache_dir.empty() &&
+      normal(opts.cache_dir) == normal(opts.atom_cache_dir)) {
+    throw support::UserError(
+        "the result cache and the atom cache need separate directories; "
+        "both are '" + opts.cache_dir + "'");
+  }
+  return opts;
+}
+
 }  // namespace
 
 CompileResponse error_response(std::uint64_t id, ResponseStatus status,
@@ -69,7 +87,7 @@ CompileResponse error_response(std::uint64_t id, ResponseStatus status,
 }
 
 CompileService::CompileService(ServiceOptions opts)
-    : opts_(std::move(opts)),
+    : opts_(reject_shared_journal_dir(std::move(opts))),
       cache_(opts_.cache_dir, opts_.cache_max_entries) {
   if (opts_.incremental) {
     atom_cache_ = std::make_unique<cache::AtomCache>(
@@ -132,7 +150,7 @@ void CompileService::submit(CompileRequest req, Callback done) {
   const std::uint64_t key = cache_key(req);
   try {
     PARMEM_FAULT_POINT("service.cache_load", nullptr);
-    if (const auto hit = cache_.lookup(key)) {
+    if (const auto hit = cache_.lookup(kResultJournalKind, key, 0)) {
       {
         std::lock_guard<std::mutex> lk(counters_mu_);
         ++counters_.cache_hits;
@@ -359,12 +377,15 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
       // reuse per-atom results from earlier compiles of similar sources.
       // Replay is byte-identical, so cached responses are unaffected.
       popts.atom_memo = atom_cache_.get();
+      // As in compile_mc: this worker is one of the N contexts, so the
+      // pool gets N - 1 workers; N = 1 runs the same atom tasks inline.
       analysis::Compiled c = [&] {
-        if (opts_.compile_threads > 1) {
-          support::ThreadPool pool(opts_.compile_threads);
-          return analysis::compile_mc(job.req.body, popts, &pool, &inf.token);
+        if (opts_.compile_threads == 0) {
+          return analysis::compile_mc(job.req.body, popts, nullptr,
+                                      &inf.token);
         }
-        return analysis::compile_mc(job.req.body, popts, nullptr, &inf.token);
+        support::ThreadPool pool(opts_.compile_threads - 1);
+        return analysis::compile_mc(job.req.body, popts, &pool, &inf.token);
       }();
       resp.tier = assign::tier_name(c.assignment.tier);
       resp.body = render_mc_artifact(c);
@@ -385,7 +406,7 @@ CompileService::AttemptResult CompileService::run_attempt(Job& job,
           assign::verify_assignment(stream, result);
       resp.tier = assign::tier_name(result.tier);
       resp.body = render_stream_artifact(stream, result, report);
-      resp.fingerprint = fnv1a64(resp.body);
+      resp.fingerprint = support::fnv1a64(resp.body);
       degraded = result.tier > assign::AssignTier::kHeuristic;
     }
 
@@ -433,7 +454,7 @@ void CompileService::finish(std::unique_ptr<Job> job, CompileResponse resp) {
   if (cacheable) {
     try {
       PARMEM_FAULT_POINT("service.cache_store", nullptr);
-      cache_.store(job->key, cacheable_part(resp));
+      cache_.store(kResultJournalKind, job->key, 0, cacheable_part(resp));
     } catch (const std::exception&) {
       // An injected store fault only costs the cache entry, never the
       // response.

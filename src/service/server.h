@@ -43,10 +43,10 @@
 #include <vector>
 
 #include "cache/atom_cache.h"
-#include "service/cache.h"
 #include "service/request.h"
 #include "service/retry.h"
 #include "support/budget.h"
+#include "support/journal.h"
 
 namespace parmem::service {
 
@@ -66,12 +66,16 @@ struct ServiceOptions {
   std::uint64_t watchdog_poll_ms = 2;
   std::uint64_t watchdog_grace_ms = 50;
   RetryPolicy retry;
-  /// Result-cache journal directory ("" = memory-only).
+  /// Result-cache journal directory ("" = memory-only). Must differ from
+  /// `atom_cache_dir`: the two journals share one on-disk format and would
+  /// load and evict each other's entries.
   std::string cache_dir;
   /// LRU cap on result-cache entries (0 = unbounded). Evicted entries'
   /// journal files are unlinked.
   std::size_t cache_max_entries = 0;
-  /// opts.parallel.threads for each compile (0/1 = serial).
+  /// opts.parallel.threads for each compile: N >= 1 runs the atom-task
+  /// schedule on N contexts (N - 1 pool workers plus the compiling worker),
+  /// with the same output for every N; 0 takes the legacy serial sweep.
   std::size_t compile_threads = 0;
   /// Admission-time cap on a stream request's declared value count.
   std::uint64_t max_stream_values = std::uint64_t{1} << 20;
@@ -105,6 +109,8 @@ class CompileService {
 
   using Callback = std::function<void(const CompileResponse&)>;
 
+  /// Throws support::UserError when `cache_dir` and `atom_cache_dir` name
+  /// the same directory.
   explicit CompileService(ServiceOptions opts = {});
   ~CompileService();  // drains
 
@@ -130,7 +136,8 @@ class CompileService {
   std::size_t queue_depth() const;
   std::size_t inflight() const;
   Counters counters() const;
-  ResultCache& cache() { return cache_; }
+  /// The result cache: entries of kind kResultJournalKind, check 0.
+  support::Journal& cache() { return cache_; }
   /// The atom-granular memo store, or null when ServiceOptions::incremental
   /// is off.
   cache::AtomCache* atom_cache() { return atom_cache_.get(); }
@@ -182,7 +189,7 @@ class CompileService {
   void publish_queue_depth_locked();
 
   ServiceOptions opts_;
-  ResultCache cache_;
+  support::Journal cache_;
   std::unique_ptr<cache::AtomCache> atom_cache_;
 
   mutable std::mutex mu_;

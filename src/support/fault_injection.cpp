@@ -40,7 +40,7 @@ const std::vector<std::string>& FaultInjector::known_sites() {
       "assign.exact",
       "assign.hitting_set",
       "assign.pass",
-      "cache.atom_journal",
+      "cache.journal",
       "pipeline.assign",
       "pipeline.parse",
       "pipeline.schedule",

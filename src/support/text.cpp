@@ -37,4 +37,13 @@ bool starts_with(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = kFnv1a64OffsetBasis;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= kFnv1a64Prime;
+  }
+  return h;
+}
+
 }  // namespace parmem::support

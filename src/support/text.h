@@ -1,6 +1,7 @@
 // Small string utilities shared across the library.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,5 +20,13 @@ std::string join(const std::vector<std::string>& items,
 
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
+
+/// FNV-1a 64 parameters, for callers that mix bytes into a running hash.
+inline constexpr std::uint64_t kFnv1a64OffsetBasis = 14695981039346656037ULL;
+inline constexpr std::uint64_t kFnv1a64Prime = 1099511628211ULL;
+
+/// FNV-1a 64 of a byte string (request cache keys and fingerprints, journal
+/// checksums, ring digests).
+std::uint64_t fnv1a64(std::string_view bytes);
 
 }  // namespace parmem::support

@@ -169,20 +169,5 @@ TEST(ParallelDifferential, BatchMatchesPerSourceSerialCompiles) {
   }
 }
 
-// force_serial is the documented escape hatch: it must reproduce the legacy
-// path exactly.
-TEST(ParallelDifferential, ForceSerialReproducesLegacyPath) {
-  const auto& w = workloads::all_workloads().front();
-  PipelineOptions legacy;
-  const Compiled a = compile_mc(w.source, legacy);
-
-  PipelineOptions forced;
-  forced.parallel.threads = 8;
-  forced.parallel.force_serial = true;
-  const Compiled b = compile_mc(w.source, forced);
-  expect_identical(a.assignment, b.assignment, "force_serial");
-  EXPECT_EQ(a.liw.to_string(), b.liw.to_string());
-}
-
 }  // namespace
 }  // namespace parmem::analysis

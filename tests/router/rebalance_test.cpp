@@ -19,12 +19,15 @@
 #include <thread>
 #include <vector>
 
+#include "assign/incremental.h"
 #include "router/ring.h"
 #include "router/router.h"
 #include "service/request.h"
 #include "service/server.h"
 #include "support/file_io.h"
+#include "support/journal.h"
 #include "support/rng.h"
+#include "support/text.h"
 
 namespace parmem::router {
 namespace {
@@ -99,11 +102,9 @@ struct TempDir {
   }
 };
 
-std::string hex_key(std::uint64_t key) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(key));
-  return buf;
+/// The journal file name of result entry `key`.
+std::string result_entry(std::uint64_t key) {
+  return support::journal_entry_name(service::kResultJournalKind, key);
 }
 
 void touch(const std::string& path, const std::string& bytes = "x") {
@@ -120,11 +121,14 @@ TEST(MigrateResultShard, MovesEntriesToTheirOwnersAndReportsWarmed) {
   TempDir root;
   const std::string w0 = root.path + "/w0";
   ASSERT_TRUE(support::ensure_directory(w0));
-  touch(w0 + "/" + hex_key(0x10) + ".res", "alpha");
-  touch(w0 + "/" + hex_key(0x20) + ".res", "beta");
-  touch(w0 + "/" + hex_key(0x30) + ".res", "gamma");
-  touch(w0 + "/" + hex_key(0x40) + ".atom");   // atom entries never move
-  touch(w0 + "/not-a-key.res");                // unparseable: skipped name
+  touch(w0 + "/" + result_entry(0x10), "alpha");
+  touch(w0 + "/" + result_entry(0x20), "beta");
+  touch(w0 + "/" + result_entry(0x30), "gamma");
+  // Atom entries never move.
+  const std::string atom_entry = support::journal_entry_name(
+      static_cast<std::uint8_t>(assign::MemoKind::kAtomColor), 0x40);
+  touch(w0 + "/" + atom_entry);
+  touch(w0 + "/not-a-key.jnl");                // unparseable: skipped name
   touch(w0 + "/deadbeef.tmp");                 // temp sibling: ignored
 
   // 0x10 and 0x30 re-home to worker 2, 0x20 to worker 1.
@@ -136,17 +140,17 @@ TEST(MigrateResultShard, MovesEntriesToTheirOwnersAndReportsWarmed) {
   EXPECT_EQ(r.skipped_entries, 0u);
   EXPECT_EQ(r.warmed_workers, (std::vector<std::uint32_t>{1, 2}));
 
-  EXPECT_TRUE(fs::exists(root.path + "/w2/" + hex_key(0x10) + ".res"));
-  EXPECT_TRUE(fs::exists(root.path + "/w1/" + hex_key(0x20) + ".res"));
-  EXPECT_TRUE(fs::exists(root.path + "/w2/" + hex_key(0x30) + ".res"));
+  EXPECT_TRUE(fs::exists(root.path + "/w2/" + result_entry(0x10)));
+  EXPECT_TRUE(fs::exists(root.path + "/w1/" + result_entry(0x20)));
+  EXPECT_TRUE(fs::exists(root.path + "/w2/" + result_entry(0x30)));
   // Payload bytes ride along untouched (rename, not copy).
   const auto moved =
-      support::read_file(root.path + "/w2/" + hex_key(0x10) + ".res");
+      support::read_file(root.path + "/w2/" + result_entry(0x10));
   ASSERT_TRUE(moved.has_value());
   EXPECT_EQ(*moved, "alpha");
   // Non-result files stay put.
-  EXPECT_TRUE(fs::exists(w0 + "/" + hex_key(0x40) + ".atom"));
-  EXPECT_TRUE(fs::exists(w0 + "/not-a-key.res"));
+  EXPECT_TRUE(fs::exists(w0 + "/" + atom_entry));
+  EXPECT_TRUE(fs::exists(w0 + "/not-a-key.jnl"));
   EXPECT_TRUE(fs::exists(w0 + "/deadbeef.tmp"));
 }
 
@@ -154,8 +158,8 @@ TEST(MigrateResultShard, UnknownOwnersAndSelfOwnersAreSkipped) {
   TempDir root;
   const std::string w3 = root.path + "/w3";
   ASSERT_TRUE(support::ensure_directory(w3));
-  touch(w3 + "/" + hex_key(1) + ".res");
-  touch(w3 + "/" + hex_key(2) + ".res");
+  touch(w3 + "/" + result_entry(1));
+  touch(w3 + "/" + result_entry(2));
   const OwnerFn owner = [](std::uint64_t key) -> std::optional<std::uint32_t> {
     if (key == 1) return std::nullopt;  // ring empty for this key
     return 3u;                          // still maps to the failed slot
@@ -164,8 +168,8 @@ TEST(MigrateResultShard, UnknownOwnersAndSelfOwnersAreSkipped) {
   EXPECT_EQ(r.migrated_entries, 0u);
   EXPECT_EQ(r.skipped_entries, 2u);
   EXPECT_TRUE(r.warmed_workers.empty());
-  EXPECT_TRUE(fs::exists(w3 + "/" + hex_key(1) + ".res"));
-  EXPECT_TRUE(fs::exists(w3 + "/" + hex_key(2) + ".res"));
+  EXPECT_TRUE(fs::exists(w3 + "/" + result_entry(1)));
+  EXPECT_TRUE(fs::exists(w3 + "/" + result_entry(2)));
 }
 
 TEST(MigrateResultShard, MissingSourceDirectoryIsANoOp) {
@@ -264,7 +268,7 @@ TEST(Rebalance, RingTransitionIsDeterministicAndMatchesAFreshRing) {
     const auto owner = survivors.owner(key);
     owners.push_back(owner.has_value() ? static_cast<char>(*owner) : '\xff');
   }
-  EXPECT_EQ(a, service::fnv1a64(owners));
+  EXPECT_EQ(a, support::fnv1a64(owners));
 }
 
 TEST(Rebalance, JournalMigratesAndSuccessorsWarmLoadByteIdentically) {
@@ -332,7 +336,7 @@ TEST(Rebalance, JournalMigratesAndSuccessorsWarmLoadByteIdentically) {
   }
   // On-disk: the victim's migrated entries now live in survivor shards.
   for (const CompileRequest& req : victim_keys) {
-    const std::string name = hex_key(service::cache_key(req)) + ".res";
+    const std::string name = result_entry(service::cache_key(req));
     EXPECT_FALSE(fs::exists(root.path + "/w2/" + name));
   }
   rt.drain();

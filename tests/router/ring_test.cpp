@@ -10,8 +10,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "service/request.h"
 #include "support/rng.h"
+#include "support/text.h"
 
 namespace parmem::router {
 namespace {
@@ -52,7 +52,7 @@ TEST(HashRing, AssignmentIsByteIdenticalAcrossRuns) {
   for (std::uint64_t key = 0; key < 4096; ++key) {
     owners.push_back(static_cast<char>(*ring.owner(key)));
   }
-  EXPECT_EQ(service::fnv1a64(owners), 0xaa714def3b287177ULL);
+  EXPECT_EQ(support::fnv1a64(owners), 0xaa714def3b287177ULL);
 }
 
 TEST(HashRing, FailoverOrderVisitsEveryWorkerOnceOwnerFirst) {

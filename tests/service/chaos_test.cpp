@@ -91,12 +91,13 @@ std::vector<CompileRequest> make_requests(std::uint64_t total,
 #if PARMEM_FAULT_INJECTION_ENABLED
 void arm_some_fault(std::uint64_t pick) {
   static const char* kSites[] = {"service.worker", "service.admit",
-                                 "service.cache_store", "pipeline.assign"};
+                                 "service.cache_store", "pipeline.assign",
+                                 "cache.journal"};
   static const support::FaultKind kKinds[] = {
       support::FaultKind::kTimeout, support::FaultKind::kBadAlloc,
       support::FaultKind::kInternalError};
-  support::FaultInjector::instance().arm(kSites[pick % 4],
-                                         kKinds[(pick / 4) % 3]);
+  support::FaultInjector::instance().arm(kSites[pick % 5],
+                                         kKinds[(pick / 5) % 3]);
 }
 #endif
 

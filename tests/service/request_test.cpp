@@ -9,6 +9,7 @@
 #include <string>
 
 #include "support/diagnostics.h"
+#include "support/text.h"
 
 namespace parmem::service {
 namespace {
@@ -179,8 +180,8 @@ TEST(ResponseCodec, MalformedResponsesAreUserErrors) {
 
 TEST(Fnv1a64, MatchesTheReferenceConstants) {
   // FNV-1a 64 with the standard offset basis and prime.
-  EXPECT_EQ(fnv1a64(""), 14695981039346656037ULL);
-  EXPECT_EQ(fnv1a64("a"), 12638187200555641996ULL);
+  EXPECT_EQ(support::fnv1a64(""), 14695981039346656037ULL);
+  EXPECT_EQ(support::fnv1a64("a"), 12638187200555641996ULL);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
@@ -13,7 +14,9 @@
 
 #include "service/frame.h"
 #include "service/request.h"
+#include "support/diagnostics.h"
 #include "support/fault_injection.h"
+#include "workloads/workloads.h"
 
 namespace parmem::service {
 namespace {
@@ -255,6 +258,45 @@ TEST_F(ServerTest, OversizeStreamHeaderIsAUserError) {
   const CompileResponse resp = service.handle(std::move(req));
   EXPECT_EQ(resp.status, ResponseStatus::kUserError);
   EXPECT_FALSE(resp.diagnostic.empty());
+}
+
+// compile_threads sets how many contexts run the atom-task schedule, which
+// gives one output for every N >= 1. FFT/STOR2 is a program whose legacy
+// serial sweep (compile_threads 0) compiles differently, so a thread count
+// that fell back to that sweep would show here.
+TEST_F(ServerTest, CompileThreadCountDoesNotChangeTheResponse) {
+  CompileRequest req;
+  req.id = 1;
+  req.module_count = 8;
+  req.strategy = assign::Strategy::kStor2;
+  req.body = workloads::workload("FFT").source;
+  std::string reference;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ServiceOptions opts;
+    opts.compile_threads = threads;
+    CompileService service(opts);
+    const CompileResponse resp = service.handle(req);
+    ASSERT_EQ(resp.status, ResponseStatus::kOk) << resp.diagnostic;
+    if (reference.empty()) reference = cacheable_part(resp);
+    EXPECT_EQ(cacheable_part(resp), reference) << threads << " threads";
+  }
+}
+
+TEST_F(ServerTest, OneDirectoryForBothJournalsIsAUserError) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "parmem_shared_journal";
+  std::filesystem::remove_all(dir);
+  ServiceOptions opts;
+  opts.incremental = true;
+  opts.cache_dir = dir.string();
+  opts.atom_cache_dir = (dir / "." / "").string();  // same dir, other spelling
+  EXPECT_THROW(CompileService{opts}, support::UserError);
+  EXPECT_FALSE(std::filesystem::exists(dir));  // rejected before any load
+  // Separate directories are fine.
+  opts.atom_cache_dir = dir.string() + ".atoms";
+  EXPECT_NO_THROW(CompileService{opts});
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(dir.string() + ".atoms");
 }
 
 #if PARMEM_FAULT_INJECTION_ENABLED
